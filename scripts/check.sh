@@ -99,10 +99,13 @@ if [[ "$RUN_TSAN" == 1 ]]; then
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DCMAKE_CXX_FLAGS="-fsanitize=thread -g" \
     -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread"
+  # cluster_test and rep_batching_test cover the service threads' doorbell
+  # sleep/wake handshake.
   cmake --build build-tsan -j "$JOBS" --target \
-    obs_test obs_harness_test virtual_time_test workload_test torture_test
+    obs_test obs_harness_test virtual_time_test workload_test torture_test \
+    cluster_test rep_batching_test
   ctest --test-dir build-tsan --output-on-failure -j "$JOBS" \
-    -R 'Histogram|ObsRegistry|ObsHarness|VirtualTime|Workload'
+    -R 'Histogram|ObsRegistry|ObsHarness|VirtualTime|Workload|Node\.|RepBatching'
   # Sanitized runs are ~10x slower: keep the sweep to one seed per shape.
   DRTMR_TORTURE_SEEDS=1 ctest --test-dir build-tsan --output-on-failure -L stress
 fi

@@ -24,8 +24,16 @@ Node::Node(uint32_t id, size_t memory_bytes, size_t log_bytes, const sim::CostMo
 
 Node::~Node() { StopService(); }
 
+void Node::Revive() {
+  killed_.store(false, std::memory_order_release);
+  if (nic_ != nullptr) {
+    nic_->service_doorbell()->Ring();
+  }
+}
+
 void Node::StartService(MessageHandler handler, IdleFn idle, uint32_t slot) {
   DRTMR_CHECK(!service_running_.load());
+  DRTMR_CHECK(nic_ != nullptr) << "service thread needs a NIC to sleep on";
   service_stop_.store(false);
   service_running_.store(true);
   if (slot == kAutoSlot) {
@@ -34,20 +42,34 @@ void Node::StartService(MessageHandler handler, IdleFn idle, uint32_t slot) {
   sim::ThreadContext* ctx = contexts_[slot].get();
   service_thread_ = std::thread([this, ctx, handler = std::move(handler),
                                  idle = std::move(idle)] {
+    sim::ServiceDoorbell* bell = nic_->service_doorbell();
     sim::Message msg;
+    // After a pass that found no work the loop arms the doorbell and makes
+    // one more pass: a producer that landed work before seeing the armed
+    // flag is caught by that re-check, any later one rings (DESIGN.md §6).
+    bool armed = false;
     while (!service_stop_.load(std::memory_order_acquire)) {
       bool busy = false;
-      if (!killed() && nic_ != nullptr) {
+      if (!killed()) {
         while (nic_->TryRecv(ctx, &msg)) {
           busy = true;
           handler(ctx, msg);
         }
-        if (idle) {
-          idle(ctx);
+        if (idle && idle(ctx)) {
+          busy = true;
         }
       }
-      if (!busy) {
-        std::this_thread::yield();
+      if (busy) {
+        if (armed) {
+          bell->Disarm();
+          armed = false;
+        }
+      } else if (!armed) {
+        bell->Arm();
+        armed = true;
+      } else {
+        bell->Sleep();
+        armed = false;
       }
     }
   });
@@ -56,6 +78,7 @@ void Node::StartService(MessageHandler handler, IdleFn idle, uint32_t slot) {
 void Node::StopService() {
   if (service_running_.load()) {
     service_stop_.store(true, std::memory_order_release);
+    nic_->service_doorbell()->Ring();
     service_thread_.join();
     service_running_.store(false);
   }

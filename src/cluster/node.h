@@ -43,10 +43,11 @@ class Node {
   uint64_t log_begin() const { return log_begin_; }
   uint64_t log_size() const { return log_size_; }
 
-  // Fail-stop flag: worker loops poll this and exit when set.
+  // Fail-stop flag: worker loops poll this and exit when set; the service
+  // thread sleeps while it is set and Revive() rings it awake.
   bool killed() const { return killed_.load(std::memory_order_acquire); }
   void Kill() { killed_.store(true, std::memory_order_release); }
-  void Revive() { killed_.store(false, std::memory_order_release); }
+  void Revive();
 
   // In-flight commit tracking: Transaction::Commit brackets its commit phase
   // with Enter/Exit so the reconfiguration driver can drain commits that
@@ -59,14 +60,18 @@ class Node {
   sim::ThreadContext* context(uint32_t slot) { return contexts_[slot].get(); }
   uint32_t num_slots() const { return static_cast<uint32_t>(contexts_.size()); }
 
-  // Auxiliary service thread: polls the NIC receive queue, dispatching each
-  // message to `handler`, and invokes `idle` between polls (log truncation
-  // lives there). Runs on the last context slot.
+  // Auxiliary service thread: drains the NIC's service receive queue (queue
+  // 0), dispatching each message to `handler`, then runs `idle` (the backup
+  // pump lives there). When neither did any work it sleeps on the NIC's
+  // service doorbell until a producer rings it (sim::ServiceDoorbell;
+  // DESIGN.md §6). Sleeping charges no virtual time.
   using MessageHandler = std::function<void(sim::ThreadContext*, const sim::Message&)>;
-  using IdleFn = std::function<void(sim::ThreadContext*)>;
+  // Returns true if it did work or saw work it could not take yet (e.g. a
+  // ring another consumer holds); false lets the service sleep.
+  using IdleFn = std::function<bool(sim::ThreadContext*)>;
   // `slot` selects the context the service thread runs on; the default is the
   // first auxiliary slot (workers occupy [0, workers); the last slot is a
-  // spare reserved for tools such as recovery).
+  // spare reserved for tools such as recovery). Requires an attached NIC.
   void StartService(MessageHandler handler, IdleFn idle, uint32_t slot = kAutoSlot);
   static constexpr uint32_t kAutoSlot = ~0u;
 

@@ -60,6 +60,7 @@ Status PrimaryBackupReplicator::PushSlot(sim::ThreadContext* ctx, LaneState& lan
     }
     // drtmr-lint: allow(registered-memory): ring-continuity write when the verb path is refused (see above)
     cluster_->node(dst)->bus()->Write(nullptr, ring.slot_offset(index), slot, slot_len);
+    cluster_->node(dst)->nic()->service_doorbell()->Ring();
     return s;
   }
   log_writes_.fetch_add(1, std::memory_order_relaxed);
@@ -81,6 +82,7 @@ void PrimaryBackupReplicator::PublishWatermark(sim::ThreadContext* ctx, LaneStat
     // back transactions this lane already reported committed.
     // drtmr-lint: allow(registered-memory): decided frontier must land even on a refused verb
     cluster_->node(dst)->bus()->WriteU64(nullptr, ring.watermark_offset(), wm);
+    cluster_->node(dst)->nic()->service_doorbell()->Ring();
   }
 }
 
@@ -147,7 +149,7 @@ Status PrimaryBackupReplicator::StageSlotTo(sim::ThreadContext* ctx, LaneState& 
     // oversubscribed host the consumer may be starved in real time, so the
     // stalled writer pumps its own ring on the destination (single-consumer
     // is enforced by the ring's pump lock).
-    PumpRing(ctx, dst, LaneOf(ctx), /*budget=*/256, /*wait=*/false);
+    (void)PumpRing(ctx, dst, LaneOf(ctx), /*budget=*/256, /*wait=*/false);
     if (++spins == 1000000) {
       DRTMR_LOG(Warning) << "slow log consumer: lane=" << LaneOf(ctx) << " dst=" << dst
                          << " index=" << index << " consumed=" << ds.consumed_seen;
@@ -381,13 +383,16 @@ void PrimaryBackupReplicator::EndTransaction(sim::ThreadContext* ctx, uint64_t t
   // paper maps to the consumed-counter advancing past the txn's slots.
 }
 
-void PrimaryBackupReplicator::PumpRing(sim::ThreadContext* ctx, uint32_t node, uint32_t lane,
+bool PrimaryBackupReplicator::PumpRing(sim::ThreadContext* ctx, uint32_t node, uint32_t lane,
                                        uint64_t budget, bool wait) {
   Spinlock& mu = pump_mu_[node * num_lanes_ + lane];
   if (wait) {
     mu.lock();
   } else if (!mu.try_lock()) {
-    return;  // another consumer (service thread or recovery) is on this ring
+    // Another consumer (service thread, stalled writer or recovery) is on
+    // this ring. It may have read the watermark before the latest append, so
+    // the ring counts as pending work, not idle.
+    return true;
   }
   const std::lock_guard<Spinlock> g(mu, std::adopt_lock);
   const RingGeometry ring = Ring(lane);
@@ -452,16 +457,19 @@ void PrimaryBackupReplicator::PumpRing(sim::ThreadContext* ctx, uint32_t node, u
     // Publish truncation progress for writer flow control.
     bus->WriteU64(ctx, ring.header_offset(), consumed.load(std::memory_order_relaxed));
   }
+  return progressed;
 }
 
-void PrimaryBackupReplicator::Pump(sim::ThreadContext* ctx) {
+bool PrimaryBackupReplicator::Pump(sim::ThreadContext* ctx) {
   const uint32_t node = ctx->node_id;
+  bool busy = false;
   for (uint32_t lane = 0; lane < num_lanes_; ++lane) {
     if (lane / lanes_per_node_ == node) {
       continue;  // own lanes never log to this node remotely
     }
-    PumpRing(ctx, node, lane, /*budget=*/64, /*wait=*/false);
+    busy |= PumpRing(ctx, node, lane, /*budget=*/64, /*wait=*/false);
   }
+  return busy;
 }
 
 void PrimaryBackupReplicator::DrainNode(sim::ThreadContext* ctx, uint32_t node) {
@@ -474,7 +482,7 @@ void PrimaryBackupReplicator::DrainNode(sim::ThreadContext* ctx, uint32_t node) 
     if (lane / lanes_per_node_ == node) {
       continue;
     }
-    PumpRing(ctx, node, lane, budget, /*wait=*/true);
+    (void)PumpRing(ctx, node, lane, budget, /*wait=*/true);
   }
 }
 
@@ -525,6 +533,10 @@ uint64_t PrimaryBackupReplicator::TruncateTornTail(sim::ThreadContext* ctx, uint
       bus->WriteU64(ctx, ring.header_offset(), consumed.load(std::memory_order_relaxed));
       dropped += lane_dropped;
     }
+  }
+  if (dropped > 0) {
+    // Decided entries past a discarded tail are left to the service pump.
+    cluster_->node(node)->nic()->service_doorbell()->Ring();
   }
   return dropped;
 }

@@ -6,9 +6,10 @@
 // commit decision (CommitTxnLog / AbortTxnLog) publishes the lane's
 // watermark past the staged slots — committed slots become eligible for the
 // backup pump, aborted ones are tombstoned first — and the durability fence
-// is amortized across a group-commit window of decisions. Auxiliary threads
-// on each node call Pump() to consume rings into the BackupStore and
-// truncate; the pump trusts only slots below the watermark.
+// is amortized across a group-commit window of decisions. Each node's
+// service thread calls Pump() to consume rings into the BackupStore and
+// truncate, woken by the service doorbell every chain append rings; the pump
+// trusts only slots below the watermark.
 #ifndef DRTMR_SRC_REP_PRIMARY_BACKUP_H_
 #define DRTMR_SRC_REP_PRIMARY_BACKUP_H_
 
@@ -61,7 +62,7 @@ class PrimaryBackupReplicator : public txn::Replicator {
   void AbortTxnLog(sim::ThreadContext* ctx, uint64_t txn_id) override;
   void FlushLog(sim::ThreadContext* ctx) override;
   void EndTransaction(sim::ThreadContext* ctx, uint64_t txn_id) override;
-  void Pump(sim::ThreadContext* ctx) override;
+  bool Pump(sim::ThreadContext* ctx) override;
 
   // Seeds backup copies at load time (initial data placement provides f+1
   // copies without going through the log path).
@@ -157,8 +158,10 @@ class PrimaryBackupReplicator : public txn::Replicator {
 
   // Consumes at most `budget` slots of writer lane `lane`'s ring on `node`.
   // `wait` blocks for exclusive ring access (recovery) instead of skipping
-  // when another consumer is active (service-thread fast path).
-  void PumpRing(sim::ThreadContext* ctx, uint32_t node, uint32_t lane, uint64_t budget,
+  // when another consumer is active (service-thread fast path). Returns true
+  // if it consumed a slot or skipped the ring because another consumer held
+  // it.
+  bool PumpRing(sim::ThreadContext* ctx, uint32_t node, uint32_t lane, uint64_t budget,
                 bool wait);
 
   cluster::Cluster* cluster_;

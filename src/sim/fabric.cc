@@ -212,6 +212,8 @@ Status RdmaNic::ChainAppend(ThreadContext* ctx, VerbChain* chain, uint32_t dst, 
   AnalyzerVerbAdmitted(fabric_, node_id_, dst);
   chk::ScopedActor actor(node_id_, ctx->worker_id);
   fabric_->bus(dst)->Write(/*ctx=*/nullptr, offset, src, len);
+  // Chains carry log slots and watermarks, which the target's pump consumes.
+  fabric_->nic(dst)->service_doorbell_.Ring();
   return Status::kOk;
 }
 
@@ -377,8 +379,13 @@ Status RdmaNic::Send(ThreadContext* ctx, uint32_t dst, std::vector<std::byte> pa
   Message m;
   m.src_node = node_id_;
   m.payload = std::move(payload);
-  std::lock_guard<std::mutex> g(dst_nic->recv_mu_[qp]);
-  dst_nic->recv_queue_[qp].push_back(std::move(m));
+  {
+    std::lock_guard<std::mutex> g(dst_nic->recv_mu_[qp]);
+    dst_nic->recv_queue_[qp].push_back(std::move(m));
+  }
+  if (qp == 0) {
+    dst_nic->service_doorbell_.Ring();
+  }
   return Status::kOk;
 }
 

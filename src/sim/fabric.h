@@ -22,6 +22,12 @@
 // deterministic fault schedules (delays, drops, partitions, timed kills) are
 // installed via Fabric::set_fault_plan (see sim/fault.h); every verb consults
 // the plan after charging its cost.
+//
+// Service doorbell: each NIC also carries the word its machine's service
+// thread (cluster::Node) sleeps on. Every action that lands work for that
+// thread rings it: a SEND to queue 0 and a log-chain WRITE (ChainAppend)
+// ring it here; Node::Revive, Node::StopService and the replicator's
+// ring-continuity and truncation writes ring it from their layers.
 #ifndef DRTMR_SRC_SIM_FABRIC_H_
 #define DRTMR_SRC_SIM_FABRIC_H_
 
@@ -36,6 +42,7 @@
 #include "src/sim/fault.h"
 #include "src/sim/memory_bus.h"
 #include "src/sim/thread_context.h"
+#include "src/util/cacheline.h"
 #include "src/util/sim_clock.h"
 #include "src/util/status.h"
 
@@ -59,6 +66,36 @@ struct Message {
 enum class AtomicityLevel { kHca, kGlob };
 
 class Fabric;
+
+// The word a machine's service thread sleeps on while it has no work. A
+// producer calls Ring() after its memory effects land; while the service is
+// awake that costs one fence and one read of a rarely-written line. The
+// service announces sleep with Arm(), re-checks every work source, then
+// either Sleep()s or Disarm()s. Both sides put a seq_cst fence between their
+// write (the work, or the armed flag) and their read (the flag, or the work),
+// so either the producer sees the service armed and wakes it, or the
+// service's re-check sees the work: no wakeup is lost (DESIGN.md §6).
+class alignas(kCacheLineSize) ServiceDoorbell {
+ public:
+  void Ring() {
+    std::atomic_thread_fence(std::memory_order_seq_cst);
+    if (armed_.load(std::memory_order_relaxed) != 0 &&
+        armed_.exchange(0, std::memory_order_acq_rel) != 0) {
+      armed_.notify_one();
+    }
+  }
+
+  void Arm() {
+    armed_.store(1, std::memory_order_relaxed);
+    std::atomic_thread_fence(std::memory_order_seq_cst);
+  }
+  void Disarm() { armed_.store(0, std::memory_order_relaxed); }
+  // Blocks until a Ring() after the matching Arm(); returns disarmed.
+  void Sleep() { armed_.wait(1, std::memory_order_acquire); }
+
+ private:
+  std::atomic<uint32_t> armed_{0};
+};
 
 class RdmaNic {
  public:
@@ -160,6 +197,8 @@ class RdmaNic {
 
   uint64_t verbs_issued() const { return verbs_issued_.load(std::memory_order_relaxed); }
 
+  ServiceDoorbell* service_doorbell() { return &service_doorbell_; }
+
  private:
   friend class Fabric;
 
@@ -199,6 +238,7 @@ class RdmaNic {
   static constexpr uint32_t kRecvQueues = 64;
   std::mutex recv_mu_[kRecvQueues];
   std::deque<Message> recv_queue_[kRecvQueues];
+  ServiceDoorbell service_doorbell_;
 };
 
 class Fabric {

@@ -48,7 +48,7 @@ MemoryBus::MemoryBus(size_t size, const CostModel* cost, uint32_t slots, uint32_
     : size_(size),
       mem_(new std::byte[size]),
       cost_(cost),
-      stripes_(new Spinlock[kStripes]) {
+      stripes_(new Stripe[kStripes]) {
   std::memset(mem_.get(), 0, size);
   descs_.reserve(slots);
   for (uint32_t i = 0; i < slots; ++i) {
@@ -108,7 +108,10 @@ void MemoryBus::Write(ThreadContext* ctx, uint64_t offset, const void* src, size
   const uint64_t first = LineOf(offset);
   const uint64_t end = LineEnd(offset, len);
   const auto* in = static_cast<const std::byte*>(src);
-  for (uint64_t line = first; line < end; ++line) {
+  // Last line first: a record's line 0 carries its seq word, and a fused-lock
+  // write-back (§4.4) releases the lock by overwriting that word. Landing it
+  // last keeps every other committer out until the whole image is in place.
+  for (uint64_t line = end; line-- > first;) {
     const uint64_t lo = std::max<uint64_t>(offset, line * kCacheLineSize);
     const uint64_t hi = std::min<uint64_t>(offset + len, (line + 1) * kCacheLineSize);
     Spinlock& s = StripeFor(line);

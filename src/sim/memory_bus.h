@@ -11,8 +11,9 @@
 //  * Strong consistency of RDMA (§2.1): RDMA verbs are routed through this
 //    bus and are therefore cache-coherent with CPU accesses. A WRITE is
 //    atomic only *within* a cache line: multi-line writes are applied line by
-//    line under separate stripe locks, so a concurrent reader can observe a
-//    torn record — the hazard Fig. 4 of the paper is about.
+//    line, last line first, under separate stripe locks, so a concurrent
+//    reader can observe a torn record — the hazard Fig. 4 of the paper is
+//    about.
 //
 // All accesses charge virtual time (see src/sim/cost_model.h).
 #ifndef DRTMR_SRC_SIM_MEMORY_BUS_H_
@@ -133,6 +134,10 @@ class MemoryBus {
 
  private:
   static constexpr uint32_t kStripes = 1024;
+  // One host cache line per stripe lock (64 KiB per bus): packed one-byte
+  // locks would put 64 stripes on a line and make unrelated records
+  // false-share it.
+  struct alignas(kCacheLineSize) Stripe : Spinlock {};
 
   Spinlock& StripeFor(uint64_t line) { return stripes_[line & (kStripes - 1)]; }
 
@@ -148,7 +153,7 @@ class MemoryBus {
   const CostModel* cost_;
   std::atomic<uint32_t> cost_scale_pct_{100};
   std::vector<std::unique_ptr<HtmDesc>> descs_;
-  std::unique_ptr<Spinlock[]> stripes_;
+  std::unique_ptr<Stripe[]> stripes_;
 };
 
 }  // namespace drtmr::sim

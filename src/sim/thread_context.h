@@ -8,6 +8,7 @@
 
 #include <cstdint>
 
+#include "src/util/cacheline.h"
 #include "src/util/rand.h"
 #include "src/util/sim_clock.h"
 
@@ -15,7 +16,9 @@ namespace drtmr::sim {
 
 class HtmTxn;
 
-struct ThreadContext {
+// Line-aligned: the clock is written on every Charge and read by every
+// TimeGate::Sync, and contexts are allocated next to each other.
+struct alignas(kCacheLineSize) ThreadContext {
   ThreadContext(uint32_t node, uint32_t worker, uint64_t seed)
       : node_id(node), worker_id(worker), rng(seed) {}
 

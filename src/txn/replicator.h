@@ -65,8 +65,10 @@ class Replicator {
   // Auxiliary-thread hook: consume pending log entries addressed to this
   // node, applying them to the backup copies and truncating the rings. Wired
   // into each node's service loop (§7.1: "auxiliary threads for log
-  // truncation").
-  virtual void Pump(sim::ThreadContext* ctx) {}
+  // truncation"), which sleeps on the NIC's service doorbell when this
+  // returns false. Returns true if it consumed anything or skipped a ring
+  // that another consumer held (that ring may still hold work).
+  virtual bool Pump(sim::ThreadContext* ctx) { return false; }
 };
 
 }  // namespace drtmr::txn

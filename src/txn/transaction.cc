@@ -371,17 +371,28 @@ Status Transaction::HtmValidateAndApply() {
       }
     }
 
-    // C.3: validate the local read set.
+    // C.3: validate the local read set. A remote committer's lock fails it
+    // even at an unchanged seq: the committer may not have written back yet.
     for (const AccessEntry& e : read_set_) {
       if (!IsLocal(e.node)) {
         continue;
       }
-      uint64_t meta[2];
-      if (htm->Read(e.offset + RecordLayout::kIncOff, meta, sizeof(meta)) != Status::kOk) {
+      uint64_t meta[3];  // lock, incarnation, seq
+      if (htm->Read(e.offset + RecordLayout::kLockOff, meta, sizeof(meta)) != Status::kOk) {
         htm_failed = true;
         break;
       }
-      if (meta[0] != e.incarnation || !rules_.ReadValid(e.seq, meta[1])) {
+      if (LockWord::IsLocked(meta[0])) {
+        if (engine_->OwnerAbsent(ctx_, meta[0])) {
+          dangling = true;
+          dangling_word = meta[0];
+          dangling_off = e.offset;
+        } else {
+          conflict = true;
+        }
+        break;
+      }
+      if (meta[1] != e.incarnation || !rules_.ReadValid(e.seq, meta[2])) {
         conflict = true;
         break;
       }
@@ -603,17 +614,24 @@ Status Transaction::CommitReadOnly() {
     }
   }
   for (const AccessEntry& e : read_set_) {
-    uint64_t inc, seq;
+    TxnEngine::RecordMeta meta;
     if (IsLocal(e.node)) {
-      engine_->ReadMetaLocal(ctx_, e, &inc, &seq);
+      engine_->ReadMetaLocal(ctx_, e, &meta);
     } else {
-      const Status s = engine_->ReadMetaRemote(ctx_, e, &inc, &seq);
+      const Status s = engine_->ReadMetaRemote(ctx_, e, &meta);
       if (s != Status::kOk) {
         engine_->stats().IncAbortValidation();
         return Status::kAborted;
       }
     }
-    if (inc != e.incarnation || !rules_.ReadValid(e.seq, seq)) {
+    // A held lock fails validation even at an unchanged seq: its committer
+    // may have written back some of our reads and not yet this one.
+    if (LockWord::IsLocked(meta.lock)) {
+      engine_->StealIfOwnerAbsent(ctx_, e.node, e.offset, meta.lock);
+      engine_->stats().IncAbortValidation();
+      return Status::kAborted;
+    }
+    if (meta.inc != e.incarnation || !rules_.ReadValid(e.seq, meta.seq)) {
       engine_->stats().IncAbortValidation();
       return Status::kAborted;
     }
@@ -658,17 +676,18 @@ Status Transaction::FallbackCommit(const std::vector<LockTarget>& remote_targets
   }
   held_locks_ = all;
 
-  // Validate everything (read set + committability of the write set).
+  // Validate everything (read set + committability of the write set). Every
+  // record is locked by this transaction, so the lock words are ours.
   bool valid = true;
   for (const AccessEntry& e : read_set_) {
-    uint64_t inc, seq;
+    TxnEngine::RecordMeta meta;
     if (IsLocal(e.node)) {
-      engine_->ReadMetaLocal(ctx_, e, &inc, &seq);
-    } else if (engine_->ReadMetaRemote(ctx_, e, &inc, &seq) != Status::kOk) {
+      engine_->ReadMetaLocal(ctx_, e, &meta);
+    } else if (engine_->ReadMetaRemote(ctx_, e, &meta) != Status::kOk) {
       valid = false;
       break;
     }
-    if (inc != e.incarnation || !rules_.ReadValid(e.seq, seq)) {
+    if (meta.inc != e.incarnation || !rules_.ReadValid(e.seq, meta.seq)) {
       valid = false;
       break;
     }
@@ -676,19 +695,19 @@ Status Transaction::FallbackCommit(const std::vector<LockTarget>& remote_targets
   if (valid) {
     for (size_t i = 0; i < write_set_.size(); ++i) {
       WriteEntry& w = write_set_[i];
-      uint64_t inc, seq;
+      TxnEngine::RecordMeta meta;
       if (IsLocal(w.access.node)) {
-        engine_->ReadMetaLocal(ctx_, w.access, &inc, &seq);
-      } else if (engine_->ReadMetaRemote(ctx_, w.access, &inc, &seq) != Status::kOk) {
+        engine_->ReadMetaLocal(ctx_, w.access, &meta);
+      } else if (engine_->ReadMetaRemote(ctx_, w.access, &meta) != Status::kOk) {
         valid = false;
         break;
       }
-      if (inc != w.access.incarnation || !rules_.WriteValid(seq) ||
-          (!w.blind && !rules_.ReadValid(w.access.seq, seq))) {
+      if (meta.inc != w.access.incarnation || !rules_.WriteValid(meta.seq) ||
+          (!w.blind && !rules_.ReadValid(w.access.seq, meta.seq))) {
         valid = false;
         break;
       }
-      commit_seq_[i] = seq;
+      commit_seq_[i] = meta.seq;
     }
   }
   if (!valid) {

@@ -232,18 +232,7 @@ Status TxnEngine::ReadRemoteRecord(sim::ThreadContext* ctx, store::Table* table,
     // commit is in flight; an uncommitted value must not be returned).
     if (check_lock && (LockWord::IsLocked(RecordLayout::GetLock(buf.data())) ||
                        store::SeqWord::Locked(RecordLayout::GetSeq(buf.data())))) {
-      const uint64_t lock_word = RecordLayout::GetLock(buf.data());
-      if (OwnerAbsent(ctx, lock_word)) {
-        if (chk::AnalyzerEnabled()) {
-          chk::ProtocolAnalyzer::Global().NoteDanglingSteal(cluster_->node(node)->bus(), off,
-                                                            lock_word);
-        }
-        uint64_t obs;
-        // Best-effort steal: losing the race means another survivor freed it.
-        (void)self->nic()->CompareSwap(ctx, node, off + RecordLayout::kLockOff, lock_word, 0,
-                                       &obs);
-        stats_.dangling_locks_released.fetch_add(1, std::memory_order_relaxed);
-      }
+      StealIfOwnerAbsent(ctx, node, off, RecordLayout::GetLock(buf.data()));
       std::this_thread::yield();
       continue;
     }
@@ -269,28 +258,38 @@ Status TxnEngine::ReadRemoteRecord(sim::ThreadContext* ctx, store::Table* table,
   return Status::kAborted;
 }
 
-void TxnEngine::ReadMetaLocal(sim::ThreadContext* ctx, const AccessEntry& e, uint64_t* inc,
-                              uint64_t* seq) {
-  uint64_t meta[2];
+static_assert(sizeof(TxnEngine::RecordMeta) == 24 &&
+                  RecordLayout::kIncOff == RecordLayout::kLockOff + 8 &&
+                  RecordLayout::kSeqOff == RecordLayout::kLockOff + 16,
+              "RecordMeta mirrors the first three words of line 0");
+
+void TxnEngine::ReadMetaLocal(sim::ThreadContext* ctx, const AccessEntry& e, RecordMeta* meta) {
   cluster_->node(ctx->node_id)
       ->bus()
-      ->Read(ctx, e.offset + RecordLayout::kIncOff, meta, sizeof(meta));
-  *inc = meta[0];
-  *seq = meta[1];
+      ->Read(ctx, e.offset + RecordLayout::kLockOff, meta, sizeof(*meta));
 }
 
-Status TxnEngine::ReadMetaRemote(sim::ThreadContext* ctx, const AccessEntry& e, uint64_t* inc,
-                                 uint64_t* seq) {
-  uint64_t meta[2];
-  const Status s = cluster_->node(ctx->node_id)
-                       ->nic()
-                       ->Read(ctx, e.node, e.offset + RecordLayout::kIncOff, meta, sizeof(meta));
-  if (s != Status::kOk) {
-    return s;
+Status TxnEngine::ReadMetaRemote(sim::ThreadContext* ctx, const AccessEntry& e,
+                                 RecordMeta* meta) {
+  return cluster_->node(ctx->node_id)
+      ->nic()
+      ->Read(ctx, e.node, e.offset + RecordLayout::kLockOff, meta, sizeof(*meta));
+}
+
+void TxnEngine::StealIfOwnerAbsent(sim::ThreadContext* ctx, uint32_t node, uint64_t offset,
+                                   uint64_t lock_word) {
+  if (!OwnerAbsent(ctx, lock_word)) {
+    return;
   }
-  *inc = meta[0];
-  *seq = meta[1];
-  return Status::kOk;
+  if (chk::AnalyzerEnabled()) {
+    chk::ProtocolAnalyzer::Global().NoteDanglingSteal(cluster_->node(node)->bus(), offset,
+                                                      lock_word);
+  }
+  (void)cluster_->node(ctx->node_id)
+      ->nic()
+      ->CompareSwap(ctx, node, offset + RecordLayout::kLockOff, lock_word, LockWord::kUnlocked,
+                    nullptr);
+  stats_.dangling_locks_released.fetch_add(1, std::memory_order_relaxed);
 }
 
 // ---------------- insert/delete shipping ----------------
@@ -420,7 +419,7 @@ void TxnEngine::StartServices() {
     cluster::Node::IdleFn idle;
     if (replicator_ != nullptr) {
       Replicator* rep = replicator_;
-      idle = [rep](sim::ThreadContext* ctx) { rep->Pump(ctx); };
+      idle = [rep](sim::ThreadContext* ctx) { return rep->Pump(ctx); };
     }
     cluster_->node(i)->StartService(
         [this](sim::ThreadContext* ctx, const sim::Message& msg) { HandleRpc(ctx, msg); },

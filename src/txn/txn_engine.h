@@ -121,10 +121,23 @@ class TxnEngine {
   Status ReadRemoteRecord(sim::ThreadContext* ctx, store::Table* table, uint32_t node,
                           uint64_t key, void* value_out, AccessEntry* entry, bool check_lock);
 
-  // Re-reads (incarnation, seq) of a record for commit-time validation.
-  void ReadMetaLocal(sim::ThreadContext* ctx, const AccessEntry& e, uint64_t* inc, uint64_t* seq);
-  Status ReadMetaRemote(sim::ThreadContext* ctx, const AccessEntry& e, uint64_t* inc,
-                        uint64_t* seq);
+  // A record's line-0 metadata as commit-time validation re-reads it: the
+  // lock, incarnation and seq words, 24 B at kLockOff in one bus read or one
+  // RDMA READ. Validation must see the lock: a committer that holds it may
+  // not have written the record back yet, so an unchanged seq proves nothing.
+  struct RecordMeta {
+    uint64_t lock = 0;
+    uint64_t inc = 0;
+    uint64_t seq = 0;
+  };
+  void ReadMetaLocal(sim::ThreadContext* ctx, const AccessEntry& e, RecordMeta* meta);
+  Status ReadMetaRemote(sim::ThreadContext* ctx, const AccessEntry& e, RecordMeta* meta);
+
+  // Passive dangling-lock release (§5.2): if `lock_word`'s owner is absent,
+  // CAS it off the record at (node, offset) through the NIC (loopback for a
+  // local record); losing the race means another survivor freed it.
+  void StealIfOwnerAbsent(sim::ThreadContext* ctx, uint32_t node, uint64_t offset,
+                          uint64_t lock_word);
 
   // ---- mutation RPC (§4.3) ----
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstring>
 #include <thread>
 
@@ -241,6 +242,35 @@ TEST(MemoryBusStress, ConcurrentCasCountsExactly) {
   }
   ThreadContext ctx(0, 0, 1);
   EXPECT_EQ(bus.ReadU64(&ctx, 0), static_cast<uint64_t>(kThreads * kIncr));
+}
+
+// A multi-line write lands its first line last. A record's line 0 holds the
+// seq word that a fused-lock write-back (§4.4) overwrites to unlock it, so
+// landing line 0 first would let another committer in before the rest of the
+// image. A reader going line 0 then line 1 must never see line 0 ahead.
+TEST(MemoryBusStress, MultiLineWriteLandsFirstLineLast) {
+  CostModel cost;
+  MemoryBus bus(4096, &cost, 2, 64, 16);
+  std::atomic<bool> stop{false};
+  std::thread writer([&] {
+    uint64_t image[2 * kCacheLineSize / sizeof(uint64_t)] = {};
+    for (uint64_t k = 1; !stop.load(std::memory_order_relaxed); ++k) {
+      image[0] = k;                                  // line 0
+      image[kCacheLineSize / sizeof(uint64_t)] = k;  // line 1
+      bus.Write(nullptr, kCacheLineSize, image, sizeof(image));
+    }
+  });
+  uint64_t ahead = 0;
+  for (int i = 0; i < 500000; ++i) {
+    const uint64_t line0 = bus.ReadU64(nullptr, kCacheLineSize);
+    const uint64_t line1 = bus.ReadU64(nullptr, 2 * kCacheLineSize);
+    if (line0 > line1) {
+      ++ahead;
+    }
+  }
+  stop.store(true);
+  writer.join();
+  EXPECT_EQ(ahead, 0u) << "line 0 of a write was seen before its line 1";
 }
 
 }  // namespace

@@ -8,7 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include "src/obs/metrics.h"
@@ -382,6 +384,66 @@ TEST_F(RepBatchingTest, GroupCommitAmortizesDoorbellsAndFences) {
 
   replicator_->DrainNode(cluster_->node(2)->tool_context(), 2);
   EXPECT_TRUE(BackupHoldsCommittedValue(2, 3, 2000 + kUpdates - 1));
+}
+
+// The service doorbell alone drives the backup pump: nothing below calls
+// Pump or DrainNode. Under a group-commit window the decisions' watermarks
+// are chain-appended (their memory effects land) long before the window's
+// NIC doorbell rings at the flush, so the pump must be woken at the append.
+TEST_F(RepBatchingTest, ServiceDoorbellsAloneConvergeEveryBackup) {
+  RepConfig rcfg;
+  rcfg.group_commit_window = 8;
+  rcfg.group_commit_max_open_ns = ~0ull >> 1;  // only a full window or FlushLog flushes
+  Init(rcfg);
+  obs::Registry::Global().Enable(true);
+  obs::Registry::Global().Reset();
+
+  // Every backup of `key` holds the primary's current value.
+  auto converged = [&](uint64_t key) {
+    Cell primary{};
+    std::vector<std::byte> img(table_->record_bytes());
+    cluster_->node(HomeOf(key))->bus()->Read(nullptr, RecordOffset(key), img.data(), img.size());
+    RecordLayout::GatherValue(img.data(), &primary, sizeof(primary));
+    for (uint32_t r = 1; r < kNodes; ++r) {
+      if (BackupValue(cluster_->BackupOf(HomeOf(key), r), key) != primary.value) {
+        return false;
+      }
+    }
+    return true;
+  };
+  auto await_convergence = [&](uint64_t first, uint64_t last) {
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    for (uint64_t k = first; k <= last; ++k) {
+      while (!converged(k)) {
+        if (std::chrono::steady_clock::now() >= deadline) {
+          return ::testing::AssertionFailure() << "backups of key " << k << " never converged";
+        }
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+    }
+    return ::testing::AssertionSuccess();
+  };
+
+  // Three decisions inside one open window: appended, never rung.
+  for (uint64_t k = 1; k <= 3; ++k) {
+    CommitUpdate(/*from_node=*/1, k, 3000 + k);
+  }
+  ASSERT_EQ(obs::Registry::Global().Collect().counter(obs::Counter::kRepWindowFlushes), 0u)
+      << "the window must still be open for this phase to test anything";
+  EXPECT_TRUE(await_convergence(1, 3));
+
+  // Every node writes every key; windows fill and flush, FlushLog closes them.
+  for (int round = 0; round < 4; ++round) {
+    for (uint32_t n = 0; n < kNodes; ++n) {
+      for (uint64_t k = 1; k <= 12; ++k) {
+        CommitUpdate(n, k, 10000 * (round + 1) + 100 * n + k);
+      }
+    }
+  }
+  for (uint32_t n = 0; n < kNodes; ++n) {
+    replicator_->FlushLog(cluster_->node(n)->context(0));
+  }
+  EXPECT_TRUE(await_convergence(1, 12));
 }
 
 // ---- teeth: each override breaks one lifecycle invariant, and the same

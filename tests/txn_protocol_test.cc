@@ -260,6 +260,60 @@ TEST_F(TxnTest, ReadOnlyRefusesLockedRemoteRecord) {
   EXPECT_TRUE(done.load());
 }
 
+// Commit-time validation must see the record lock, not just the seq. A
+// committer locks, then writes back record by record, then unlocks; a reader
+// that validates in between sees an unchanged seq on a record whose new value
+// is on its way, while it may already have read the committer's other writes.
+// Each test locks a read-set record the way a remote committer would, right
+// before Commit(); the seq never moves, so only the lock can fail validation.
+class LockedReadSetTest : public TxnTest {
+ protected:
+  uint64_t Lock(uint64_t key) {
+    const uint32_t node = HomeOf(key);
+    const uint64_t off = accounts_->hash(node)->Lookup(nullptr, key);
+    uint64_t obs;
+    EXPECT_TRUE(cluster_->node(node)->bus()->CasU64(nullptr, off + RecordLayout::kLockOff, 0,
+                                                    committer_, &obs));
+    return off;
+  }
+  void Unlock(uint64_t key, uint64_t off) {
+    uint64_t obs;
+    EXPECT_TRUE(cluster_->node(HomeOf(key))
+                    ->bus()
+                    ->CasU64(nullptr, off + RecordLayout::kLockOff, committer_, 0, &obs));
+  }
+
+  const uint64_t committer_ = LockWord::Make(2, 1);
+};
+
+TEST_F(LockedReadSetTest, ReadOnlyValidationRefusesLockedRecord) {
+  sim::ThreadContext* ctx = cluster_->node(0)->context(0);
+  for (const uint64_t key : {9ull, 13ull}) {  // local to node 0, then remote
+    Transaction ro(engine_.get(), ctx);
+    ro.Begin(/*read_only=*/true);
+    Account a{};
+    ASSERT_EQ(ro.Read(accounts_, HomeOf(key), key, &a), Status::kOk);
+    const uint64_t off = Lock(key);
+    EXPECT_EQ(ro.Commit(), Status::kAborted) << "key " << key << " validated while locked";
+    Unlock(key, off);
+  }
+}
+
+TEST_F(LockedReadSetTest, LocalReadSetValidationRefusesLockedRecord) {
+  sim::ThreadContext* ctx = cluster_->node(0)->context(0);
+  Transaction txn(engine_.get(), ctx);
+  txn.Begin();
+  Account a{};
+  ASSERT_EQ(txn.Read(accounts_, 0, 9, &a), Status::kOk);  // local read set (C.3)
+  ASSERT_EQ(txn.Read(accounts_, 0, 12, &a), Status::kOk);
+  a.balance = 1;
+  ASSERT_EQ(txn.Write(accounts_, 0, 12, &a), Status::kOk);
+  const uint64_t off = Lock(9);
+  EXPECT_EQ(txn.Commit(), Status::kAborted);
+  Unlock(9, off);
+  EXPECT_EQ(Balance(12), 1000u);
+}
+
 TEST_F(TxnTest, LockConflictOnRemoteCommit) {
   // Hold the lock of a remote record; a commit needing it must abort (C.1).
   const uint64_t off = accounts_->hash(1)->Lookup(cluster_->node(1)->context(0), 16);
