@@ -10,9 +10,9 @@
 //  * CAS atomicity level is configurable: IBV_ATOMIC_HCA (atomic only against
 //    other RDMA atomics, the paper's ConnectX-3) or IBV_ATOMIC_GLOB (also
 //    atomic against CPU atomics). Under kHca the NIC serializes atomics
-//    through a per-target-NIC token, and mixing RDMA and local CAS on the
-//    same word is counted as a diagnostic (the simulator cannot exhibit the
-//    real silent corruption);
+//    through a per-target-NIC token. Mixing RDMA and local CAS on one word
+//    is neither detected nor counted (the simulator cannot exhibit the real
+//    silent corruption), so lock words are only ever CASed through the NIC;
 //  * issuing any verb inside an HTM region aborts the region (no I/O in RTM);
 //  * each NIC is a shared resource with a message rate and bandwidth; verbs
 //    reserve it in virtual time, which models NIC saturation (Figs. 15/16).

@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <cstring>
-#include <thread>
 
 #include "src/chk/history.h"
-#include "src/chk/protocol_analyzer.h"
 #include "src/cluster/membership.h"
 #include "src/obs/phase_timer.h"
 #include "src/store/record.h"
@@ -22,7 +20,8 @@ Transaction::Transaction(TxnEngine* engine, sim::ThreadContext* ctx)
       ctx_(ctx),
       self_(engine->cluster()->node(ctx->node_id)),
       rules_(engine->seq_rules()),
-      lock_word_(LockWord::Make(ctx->node_id, ctx->worker_id)) {}
+      lock_word_(LockWord::Make(ctx->node_id, ctx->worker_id)),
+      fused_(engine->config().fused_seq_lock) {}
 
 void Transaction::Begin(bool read_only) {
   DRTMR_CHECK(!active_) << "Begin inside an active transaction";
@@ -39,7 +38,6 @@ void Transaction::Begin(bool read_only) {
   read_set_.clear();
   write_set_.clear();
   mutations_.clear();
-  held_locks_.clear();
   commit_seq_.clear();
 }
 
@@ -199,7 +197,63 @@ void Transaction::BuildImage(const WriteEntry& w, uint64_t seq, std::vector<std:
                      table->value_size());
 }
 
-Status Transaction::AcquireLock(const LockTarget& t) {
+Status Transaction::AbortWith(Status cause, Step step) {
+  TxnStats& stats = engine_->stats();
+  if (cause == Status::kStaleEpoch) {
+    stats.IncAbortStaleEpoch();
+    return Status::kStaleEpoch;
+  }
+  if (cause == Status::kTimeout) {
+    stats.IncAbortTimeout();
+    return Status::kTimeout;
+  }
+  if (step == Step::kLock && !fused_) {
+    stats.IncAbortLock();
+  } else {
+    stats.IncAbortValidation();
+  }
+  return Status::kAborted;
+}
+
+bool Transaction::Fenced() const {
+  return engine_->fencing() &&
+         !engine_->membership()->CommitAllowed(ctx_->node_id, ctx_->clock.now_ns(), begin_epoch_);
+}
+
+void Transaction::AddTargets(bool local) {
+  // The fused CAS is the read set's validation, so that strategy always locks
+  // the read set; two-verb skips the remote one under the ablation.
+  const bool reads = local || fused_ || engine_->config().lock_remote_read_set;
+  const size_t first = targets_.size();
+  for (const AccessEntry& e : read_set_) {
+    if (reads && IsLocal(e.node) == local) {
+      targets_.push_back({e.node, e.offset, kReadOnly, rules_.Committable(e.seq)});
+    }
+  }
+  for (size_t i = 0; i < write_set_.size(); ++i) {
+    const AccessEntry& a = write_set_[i].access;
+    if (IsLocal(a.node) == local) {
+      targets_.push_back({a.node, a.offset, i, rules_.Committable(a.seq)});
+    }
+  }
+  // Address order; a record both read and written keeps its write entry,
+  // which sorts first (kReadOnly is the largest index).
+  std::sort(targets_.begin() + first, targets_.end());
+  targets_.erase(std::unique(targets_.begin() + first, targets_.end(),
+                             [](const LockTarget& a, const LockTarget& b) {
+                               return a.node == b.node && a.offset == b.offset;
+                             }),
+                 targets_.end());
+}
+
+Status Transaction::LockOne(const LockTarget& t) {
+  sim::RdmaNic* nic = self_->nic();
+  if (fused_) {
+    // §4.4: one CAS on the seq word sets its lock bit and proves the seq is
+    // still the committable one this transaction observed.
+    return nic->CompareSwap(ctx_, t.node, t.offset + RecordLayout::kSeqOff, t.expected,
+                            store::SeqWord::WithLock(t.expected), nullptr);
+  }
   // Lock both local and remote records uniformly with RDMA CAS (§6.2): our
   // ConnectX-3-level atomicity means RDMA atomics only pair with RDMA
   // atomics, so the lock word is only ever CASed through the NIC. A live
@@ -207,7 +261,6 @@ Status Transaction::AcquireLock(const LockTarget& t) {
   // retries, bounded and with jittered exponential backoff so that survivors
   // racing to steal the same dead owner's locks spread out instead of
   // spinning forever (DESIGN.md §10).
-  sim::RdmaNic* nic = self_->nic();
   const TxnConfig& cfg = engine_->config();
   util::Backoff backoff = util::Backoff::Exponential(
       cfg.lock_backoff_base_ns, cfg.lock_backoff_base_ns * 2,
@@ -216,93 +269,92 @@ Status Transaction::AcquireLock(const LockTarget& t) {
     uint64_t observed = 0;
     const Status s = nic->CompareSwap(ctx_, t.node, t.offset + RecordLayout::kLockOff,
                                       LockWord::kUnlocked, lock_word_, &observed);
-    if (engine_->config().message_passing_commit) {
+    if (cfg.message_passing_commit) {
       ctx_->Charge(engine_->cost()->send_recv_ns);
     }
-    if (s == Status::kOk) {
-      return Status::kOk;
-    }
-    if (s == Status::kUnavailable || s == Status::kStaleEpoch) {
+    if (s != Status::kConflict) {
       return s;
     }
-    if (engine_->OwnerAbsent(ctx_, observed)) {
-      // §5.2: the lock owner crashed; release the dangling lock and retry.
-      if (backoff.attempts() >= cfg.lock_retry_threshold) {
-        return Status::kTimeout;
-      }
-      if (chk::AnalyzerEnabled()) {
-        chk::ProtocolAnalyzer::Global().NoteDanglingSteal(
-            engine_->cluster()->node(t.node)->bus(), t.offset, observed);
-      }
-      // Best-effort steal: losing the race means another survivor freed it.
-      (void)nic->CompareSwap(ctx_, t.node, t.offset + RecordLayout::kLockOff, observed,
-                             LockWord::kUnlocked, nullptr);
-      engine_->stats().dangling_locks_released.fetch_add(1, std::memory_order_relaxed);
-      ctx_->Charge(backoff.NextDelay(&ctx_->rng));
-      continue;
+    if (backoff.attempts() >= cfg.lock_retry_threshold && engine_->OwnerAbsent(ctx_, observed)) {
+      return Status::kTimeout;
     }
-    return Status::kConflict;
+    // §5.2: a crashed owner's dangling lock is released and the CAS retried.
+    if (!engine_->StealIfOwnerAbsent(ctx_, t.node, t.offset, observed)) {
+      return Status::kConflict;  // a live owner
+    }
+    ctx_->Charge(backoff.NextDelay(&ctx_->rng));
   }
 }
 
-void Transaction::ReleaseLocks(const std::vector<LockTarget>& targets, size_t count) {
-  // Unlocks are fire-and-forget: posted CASes whose completions nobody waits
-  // on (the transaction has already reported its outcome).
-  sim::RdmaNic* nic = self_->nic();
-  uint64_t completion = 0;
-  for (size_t i = 0; i < count; ++i) {
-    (void)nic->CompareSwapPosted(ctx_, targets[i].node,
-                                 targets[i].offset + RecordLayout::kLockOff, lock_word_,
-                                 LockWord::kUnlocked, nullptr, &completion);
-  }
-}
-
-Status Transaction::LockRemoteSets(const std::vector<LockTarget>& targets) {
-  for (size_t i = 0; i < targets.size(); ++i) {
-    const Status s = AcquireLock(targets[i]);
-    if (s != Status::kOk) {
-      ReleaseLocks(targets, i);
+Status Transaction::LockTargets() {
+  for (; locked_ < targets_.size(); ++locked_) {
+    const LockTarget& t = targets_[locked_];
+    if (const Status s = LockOne(t); s != Status::kOk) {
       return s;
+    }
+    if (fused_ && t.ws_index != kReadOnly) {
+      commit_seq_[t.ws_index] = t.expected;  // the CAS proved this is the seq
     }
   }
   return Status::kOk;
 }
 
-Status Transaction::ValidateRemote(uint64_t* /*unused*/) {
-  // C.2: validate remote read-set records; under replication also check that
-  // remote write-set records are committable (Table 4). Record the current
-  // seq of every remote write entry as the base for its increments. All the
-  // metadata READs are posted back-to-back (their latencies overlap) and one
-  // fence awaits the batch.
+void Transaction::Unlock(bool committed) {
+  // Unlocks are fire-and-forget: posted CASes whose completions nobody waits
+  // on (the transaction has already reported its outcome).
+  sim::RdmaNic* nic = self_->nic();
+  uint64_t completion = 0;
+  for (size_t i = 0; i < locked_; ++i) {
+    const LockTarget& t = targets_[i];
+    if (!fused_) {
+      (void)nic->CompareSwapPosted(ctx_, t.node, t.offset + RecordLayout::kLockOff, lock_word_,
+                                   LockWord::kUnlocked, nullptr, &completion);
+    } else if (!committed || t.ws_index == kReadOnly) {
+      // A committed fused write is unlocked by its new seq (C.5 write-back or
+      // the fallback's local apply); everything else gets its seq restored.
+      (void)nic->CompareSwapPosted(ctx_, t.node, t.offset + RecordLayout::kSeqOff,
+                                   store::SeqWord::WithLock(t.expected), t.expected, nullptr,
+                                   &completion);
+    }
+  }
+  locked_ = 0;
+}
+
+Status Transaction::Validate(bool local) {
+  // Two-verb C.2 (remote records) and the fallback's check of local ones:
+  // every read-set entry still carries its observed incarnation and seq, and
+  // every written record is committable (Table 4), its current seq becoming
+  // the base for the increments. Remote metadata READs are posted
+  // back-to-back (their latencies overlap) and one fence awaits the batch.
   sim::RdmaNic* nic = self_->nic();
   struct Pending {
     const AccessEntry* entry;
-    size_t ws_index;  // ~0 for read-set entries
-    uint64_t meta[2];
+    size_t ws_index;
+    uint64_t meta[2];  // incarnation, seq
   };
   std::vector<Pending> pending;
-  uint64_t completion = 0;
   for (const AccessEntry& e : read_set_) {
-    if (IsLocal(e.node)) {
-      continue;
+    if (IsLocal(e.node) == local) {
+      pending.push_back(Pending{&e, kReadOnly, {}});
     }
-    pending.push_back(Pending{&e, ~0ull, {}});
   }
   for (size_t i = 0; i < write_set_.size(); ++i) {
-    if (IsLocal(write_set_[i].access.node)) {
-      continue;
+    if (IsLocal(write_set_[i].access.node) == local) {
+      pending.push_back(Pending{&write_set_[i].access, i, {}});
     }
-    pending.push_back(Pending{&write_set_[i].access, i, {}});
   }
+  uint64_t completion = 0;
   for (Pending& p : pending) {
-    const Status s = nic->ReadPosted(ctx_, p.entry->node,
-                                     p.entry->offset + RecordLayout::kIncOff, p.meta,
-                                     sizeof(p.meta), &completion);
-    if (s != Status::kOk) {
+    const uint64_t off = p.entry->offset + RecordLayout::kIncOff;
+    if (local) {
+      self_->bus()->Read(ctx_, off, p.meta, sizeof(p.meta));
+    } else if (const Status s = nic->ReadPosted(ctx_, p.entry->node, off, p.meta,
+                                                sizeof(p.meta), &completion);
+               s != Status::kOk) {
       return s;
     }
   }
-  if (!pending.empty()) {
+  if (!local && !pending.empty()) {
     nic->Fence(ctx_, completion, engine_->cost()->rdma_read_ns);
     if (engine_->config().message_passing_commit) {
       ctx_->Charge(engine_->cost()->send_recv_ns * pending.size());
@@ -312,7 +364,7 @@ Status Transaction::ValidateRemote(uint64_t* /*unused*/) {
     if (p.meta[0] != p.entry->incarnation) {
       return Status::kConflict;
     }
-    if (p.ws_index == ~0ull) {
+    if (p.ws_index == kReadOnly) {
       if (!rules_.ReadValid(p.entry->seq, p.meta[1])) {
         return Status::kConflict;
       }
@@ -350,9 +402,8 @@ Status Transaction::HtmValidateAndApply() {
     DRTMR_CHECK(htm != nullptr);
     bool conflict = false;
     bool htm_failed = false;
-    bool dangling = false;
-    uint64_t dangling_word = 0;
-    uint64_t dangling_off = 0;
+    uint64_t held_word = 0;  // a lock word found held on a local record
+    uint64_t held_off = 0;
 
     // Fencing (DESIGN.md §10): pull the stamped epoch word into the HTM read
     // set. A membership stamp is a plain bus CAS on that line, so it dooms
@@ -383,13 +434,9 @@ Status Transaction::HtmValidateAndApply() {
         break;
       }
       if (LockWord::IsLocked(meta[0])) {
-        if (engine_->OwnerAbsent(ctx_, meta[0])) {
-          dangling = true;
-          dangling_word = meta[0];
-          dangling_off = e.offset;
-        } else {
-          conflict = true;
-        }
+        held_word = meta[0];
+        held_off = e.offset;
+        conflict = true;
         break;
       }
       if (meta[1] != e.incarnation || !rules_.ReadValid(e.seq, meta[2])) {
@@ -412,15 +459,10 @@ Status Transaction::HtmValidateAndApply() {
         }
         if (LockWord::IsLocked(meta[0])) {
           // A remote transaction locked this record before our HTM region
-          // began (§4.4 C.4's "additional check"). If the owner is gone,
-          // release the lock outside the region and retry.
-          if (engine_->OwnerAbsent(ctx_, meta[0])) {
-            dangling = true;
-            dangling_word = meta[0];
-            dangling_off = w.access.offset;
-          } else {
-            conflict = true;
-          }
+          // began (§4.4 C.4's "additional check").
+          held_word = meta[0];
+          held_off = w.access.offset;
+          conflict = true;
           break;
         }
         if (store::SeqWord::Locked(meta[2])) {
@@ -454,20 +496,12 @@ Status Transaction::HtmValidateAndApply() {
 
     if (conflict) {
       htm->Abort();
-      return Status::kConflict;
-    }
-    if (dangling) {
-      htm->Abort();
-      if (chk::AnalyzerEnabled()) {
-        chk::ProtocolAnalyzer::Global().NoteDanglingSteal(self_->bus(), dangling_off,
-                                                          dangling_word);
+      // A lock whose owner is gone is released outside the region (§5.2),
+      // and the region retried.
+      if (engine_->StealIfOwnerAbsent(ctx_, ctx_->node_id, held_off, held_word)) {
+        continue;
       }
-      // Best-effort steal: losing the race means another survivor freed it.
-      (void)self_->nic()->CompareSwap(ctx_, ctx_->node_id,
-                                      dangling_off + RecordLayout::kLockOff, dangling_word,
-                                      LockWord::kUnlocked, nullptr);
-      engine_->stats().dangling_locks_released.fetch_add(1, std::memory_order_relaxed);
-      continue;
+      return Status::kConflict;
     }
     if (htm_failed) {
       continue;
@@ -490,9 +524,7 @@ void Transaction::StageReplicationEarly() {
   std::vector<std::byte> image;
   for (size_t i = 0; i < write_set_.size(); ++i) {
     const WriteEntry& w = write_set_[i];
-    const uint64_t base =
-        rules_.replication ? ((w.access.seq + 1) & ~1ull) : w.access.seq;
-    const uint64_t predicted = rules_.RemoteCommitSeq(base);
+    const uint64_t predicted = rules_.RemoteCommitSeq(rules_.Committable(w.access.seq));
     BuildImage(w, predicted, &image);
     const Status s = rep->StageUpdate(ctx_, txn_id_, w.access.node, w.access.table->id(),
                                       w.access.key, w.access.offset, image.data(),
@@ -609,8 +641,7 @@ Status Transaction::CommitReadOnly() {
     if (engine_->membership()->NodeEpoch(ctx_->node_id) != begin_epoch_ ||
         ctx_->clock.now_ns() + mcfg.commit_guard_ns >
             engine_->membership()->lease_deadline_ns(ctx_->node_id)) {
-      engine_->stats().IncAbortStaleEpoch();
-      return Status::kStaleEpoch;
+      return AbortWith(Status::kStaleEpoch);
     }
   }
   for (const AccessEntry& e : read_set_) {
@@ -618,119 +649,28 @@ Status Transaction::CommitReadOnly() {
     if (IsLocal(e.node)) {
       engine_->ReadMetaLocal(ctx_, e, &meta);
     } else {
-      const Status s = engine_->ReadMetaRemote(ctx_, e, &meta);
-      if (s != Status::kOk) {
-        engine_->stats().IncAbortValidation();
-        return Status::kAborted;
+      if (const Status s = engine_->ReadMetaRemote(ctx_, e, &meta); s != Status::kOk) {
+        return AbortWith(s);
       }
     }
     // A held lock fails validation even at an unchanged seq: its committer
     // may have written back some of our reads and not yet this one.
     if (LockWord::IsLocked(meta.lock)) {
       engine_->StealIfOwnerAbsent(ctx_, e.node, e.offset, meta.lock);
-      engine_->stats().IncAbortValidation();
-      return Status::kAborted;
+      return AbortWith(Status::kConflict);
     }
     if (meta.inc != e.incarnation || !rules_.ReadValid(e.seq, meta.seq)) {
-      engine_->stats().IncAbortValidation();
-      return Status::kAborted;
+      return AbortWith(Status::kConflict);
     }
   }
   engine_->stats().IncCommit();
   return Status::kOk;
 }
 
-Status Transaction::FallbackCommit(const std::vector<LockTarget>& remote_targets) {
-  engine_->stats().IncFallback();
-  // §6.1: release held remote locks, then lock *all* records — local ones via
-  // loopback RDMA CAS (§6.2) — in global address order to avoid deadlock.
-  ReleaseLocks(held_locks_, held_locks_.size());
-  held_locks_.clear();
-
-  std::vector<LockTarget> all = remote_targets;
-  for (const AccessEntry& e : read_set_) {
-    if (IsLocal(e.node)) {
-      all.push_back({e.node, e.offset});
-    }
-  }
-  for (const WriteEntry& w : write_set_) {
-    if (IsLocal(w.access.node)) {
-      all.push_back({w.access.node, w.access.offset});
-    }
-  }
-  std::sort(all.begin(), all.end());
-  all.erase(std::unique(all.begin(), all.end()), all.end());
-
-  const Status lock_status = LockRemoteSets(all);
-  if (lock_status == Status::kStaleEpoch) {
-    engine_->stats().IncAbortStaleEpoch();
-    return Status::kStaleEpoch;
-  }
-  if (lock_status == Status::kTimeout) {
-    engine_->stats().IncAbortTimeout();
-    return Status::kTimeout;
-  }
-  if (lock_status != Status::kOk) {
-    engine_->stats().IncAbortLock();
-    return Status::kAborted;
-  }
-  held_locks_ = all;
-
-  // Validate everything (read set + committability of the write set). Every
-  // record is locked by this transaction, so the lock words are ours.
-  bool valid = true;
-  for (const AccessEntry& e : read_set_) {
-    TxnEngine::RecordMeta meta;
-    if (IsLocal(e.node)) {
-      engine_->ReadMetaLocal(ctx_, e, &meta);
-    } else if (engine_->ReadMetaRemote(ctx_, e, &meta) != Status::kOk) {
-      valid = false;
-      break;
-    }
-    if (meta.inc != e.incarnation || !rules_.ReadValid(e.seq, meta.seq)) {
-      valid = false;
-      break;
-    }
-  }
-  if (valid) {
-    for (size_t i = 0; i < write_set_.size(); ++i) {
-      WriteEntry& w = write_set_[i];
-      TxnEngine::RecordMeta meta;
-      if (IsLocal(w.access.node)) {
-        engine_->ReadMetaLocal(ctx_, w.access, &meta);
-      } else if (engine_->ReadMetaRemote(ctx_, w.access, &meta) != Status::kOk) {
-        valid = false;
-        break;
-      }
-      if (meta.inc != w.access.incarnation || !rules_.WriteValid(meta.seq) ||
-          (!w.blind && !rules_.ReadValid(w.access.seq, meta.seq))) {
-        valid = false;
-        break;
-      }
-      commit_seq_[i] = meta.seq;
-    }
-  }
-  if (!valid) {
-    ReleaseLocks(held_locks_, held_locks_.size());
-    held_locks_.clear();
-    engine_->stats().IncAbortValidation();
-    return Status::kAborted;
-  }
-
-  // Fencing re-check before applying: the fallback runs without HTM, so the
-  // stamp cannot doom it — check the epoch explicitly while holding every
-  // lock (DESIGN.md §10).
-  if (engine_->fencing() &&
-      !engine_->membership()->CommitAllowed(ctx_->node_id, ctx_->clock.now_ns(), begin_epoch_)) {
-    ReleaseLocks(held_locks_, held_locks_.size());
-    held_locks_.clear();
-    engine_->stats().IncAbortStaleEpoch();
-    return Status::kStaleEpoch;
-  }
-
-  // Apply local updates without HTM — safe because every record is locked and
-  // local readers honor the lock (Fig. 5). Under replication, go through the
-  // same odd -> replicate -> even sequence as the fast path.
+void Transaction::ApplyLocalWrites() {
+  // Every local record is locked, and local readers honor the lock (Fig. 5),
+  // so the buffered writes land without HTM. The image's new seq also clears
+  // a fused lock bit.
   std::vector<std::byte> image;
   for (size_t i = 0; i < write_set_.size(); ++i) {
     const WriteEntry& w = write_set_[i];
@@ -742,84 +682,32 @@ Status Transaction::FallbackCommit(const std::vector<LockTarget>& remote_targets
                         image.data() + RecordLayout::kSeqOff,
                         image.size() - RecordLayout::kSeqOff);
   }
-  if (engine_->config().replication) {
-    const Status s = FinishReplication();
-    if (s != Status::kOk) {
-      if (engine_->fencing()) {
-        // Same rule as the fast path: a fenced primary must not report
-        // commit on partial replication (DESIGN.md §10).
-        ReleaseLocks(held_locks_, held_locks_.size());
-        held_locks_.clear();
-        engine_->stats().IncAbortStaleEpoch();
-        return Status::kStaleEpoch;
-      }
-      // Logs partially written; recovery reconciles via seq comparison.
-      DRTMR_LOG(Warning) << "replication failed in fallback: " << StatusString(s);
-    }
-    MakeupLocal();
-  }
-  (void)WriteBackRemote();  // past the commit point: recovery patches misses
-  for (MutationEntry& m : mutations_) {
-    (void)engine_->Mutate(ctx_, m);  // past the commit point: idempotent
-  }
-  if (engine_->config().replication) {
-    engine_->replicator()->EndTransaction(ctx_, txn_id_);
-  }
-  engine_->stats().IncCommit();
-  ReleaseLocks(held_locks_, held_locks_.size());
-  held_locks_.clear();
-  return Status::kOk;
 }
 
 Status Transaction::CommitReadWrite() {
   // Fencing admission (DESIGN.md §10): a degraded node, an expiring lease, or
   // a moved epoch all mean this node may no longer act as a primary — abort
   // before taking any lock.
-  if (engine_->fencing() &&
-      !engine_->membership()->CommitAllowed(ctx_->node_id, ctx_->clock.now_ns(), begin_epoch_)) {
-    engine_->stats().IncAbortStaleEpoch();
-    return Status::kStaleEpoch;
+  if (Fenced()) {
+    return AbortWith(Status::kStaleEpoch);
   }
   commit_seq_.assign(write_set_.size(), 0);
   staged_seq_.assign(write_set_.size(), kNotStaged);
   rep_staged_ = false;
+  targets_.clear();
+  LockGuard guard{this};
 
-  // C.1: lock remote read and write sets (sorted, deduplicated).
-  std::vector<LockTarget> remote_targets;
-  if (engine_->config().lock_remote_read_set) {
-    for (const AccessEntry& e : read_set_) {
-      if (!IsLocal(e.node)) {
-        remote_targets.push_back({e.node, e.offset});
-      }
-    }
-  }
-  for (const WriteEntry& w : write_set_) {
-    if (!IsLocal(w.access.node)) {
-      remote_targets.push_back({w.access.node, w.access.offset});
-    }
-  }
-  std::sort(remote_targets.begin(), remote_targets.end());
-  remote_targets.erase(std::unique(remote_targets.begin(), remote_targets.end()),
-                       remote_targets.end());
-
+  // C.1: lock the remote records (sorted, deduplicated). A fused CAS also
+  // validates, and the whole step is attributed to kLock.
+  AddTargets(/*local=*/false);
   Status s;
   {
     obs::PhaseTimer timer(ctx_, obs::Phase::kLock);
-    s = LockRemoteSets(remote_targets);
-  }
-  if (s == Status::kStaleEpoch) {
-    engine_->stats().IncAbortStaleEpoch();
-    return Status::kStaleEpoch;
-  }
-  if (s == Status::kTimeout) {
-    engine_->stats().IncAbortTimeout();
-    return Status::kTimeout;
+    s = LockTargets();
   }
   if (s != Status::kOk) {
-    engine_->stats().IncAbortLock();
-    return Status::kAborted;
+    return AbortWith(s, Step::kLock);
   }
-  held_locks_ = remote_targets;
 
   // R.1 issued early: stage speculative log slots onto the doorbell chains
   // now, so the log writes overlap C.2–C.4 instead of serializing after them.
@@ -828,26 +716,20 @@ Status Transaction::CommitReadWrite() {
     StageReplicationEarly();
   }
 
-  // C.2: validate the remote read set (and remote write committability).
-  {
+  // C.2: validate the remote read set (and remote write committability),
+  // unless the fused CAS already did.
+  if (!fused_) {
     obs::PhaseTimer timer(ctx_, obs::Phase::kValidation);
-    s = ValidateRemote(nullptr);
+    s = Validate(/*local=*/false);
   }
   if (s != Status::kOk) {
-    ReleaseLocks(held_locks_, held_locks_.size());
-    held_locks_.clear();
-    engine_->stats().IncAbortValidation();
-    return Status::kAborted;
+    return AbortWith(s);
   }
 
   // Fencing re-check before entering HTM: C.1/C.2 verbs may have stalled
   // across a fault window, during which the epoch can have moved.
-  if (engine_->fencing() &&
-      !engine_->membership()->CommitAllowed(ctx_->node_id, ctx_->clock.now_ns(), begin_epoch_)) {
-    ReleaseLocks(held_locks_, held_locks_.size());
-    held_locks_.clear();
-    engine_->stats().IncAbortStaleEpoch();
-    return Status::kStaleEpoch;
+  if (Fenced()) {
+    return AbortWith(Status::kStaleEpoch);
   }
 
   // C.3 + C.4 inside one HTM region.
@@ -855,44 +737,51 @@ Status Transaction::CommitReadWrite() {
     obs::PhaseTimer timer(ctx_, obs::Phase::kHtmCommit);
     s = HtmValidateAndApply();
   }
-  if (s == Status::kStaleEpoch) {
-    ReleaseLocks(held_locks_, held_locks_.size());
-    held_locks_.clear();
-    engine_->stats().IncAbortStaleEpoch();
-    return Status::kStaleEpoch;
-  }
-  if (s == Status::kConflict) {
-    ReleaseLocks(held_locks_, held_locks_.size());
-    held_locks_.clear();
-    engine_->stats().IncAbortValidation();
-    return Status::kAborted;
-  }
   if (s == Status::kAborted) {
-    // The fallback is timed as one opaque phase — its internal re-lock /
-    // validate / apply steps are not re-attributed to the phases above.
+    // §6.1 fallback, timed as one opaque phase: HTM made no progress. The C.1
+    // locks stay held, so the remote records stay validated; lock the local
+    // records too, through loopback RDMA CAS (§6.2) with the same strategy,
+    // validate them, and apply without HTM. Locking is no-wait, so the order
+    // cannot deadlock and the paper's release-and-relock is unnecessary.
     obs::PhaseTimer timer(ctx_, obs::Phase::kFallback);
-    return FallbackCommit(remote_targets);
+    engine_->stats().IncFallback();
+    AddTargets(/*local=*/true);
+    s = LockTargets();
+    if (s != Status::kOk) {
+      return AbortWith(s, Step::kLock);
+    }
+    if (!fused_) {
+      s = Validate(/*local=*/true);
+    }
+    if (s != Status::kOk) {
+      return AbortWith(s);
+    }
+    // No HTM region for an epoch stamp to doom: check it under the locks.
+    if (Fenced()) {
+      return AbortWith(Status::kStaleEpoch);
+    }
+    ApplyLocalWrites();
+  } else if (s != Status::kOk) {
+    return AbortWith(s);
   }
 
-  // R.1 decision + R.2 (replication), C.5 (remote write-back).
+  // R.1 decision + R.2 (replication).
   if (engine_->config().replication) {
     obs::PhaseTimer timer(ctx_, obs::Phase::kReplication);
-    const Status rs = FinishReplication();
-    if (rs != Status::kOk) {
+    s = FinishReplication();
+    if (s != Status::kOk) {
       if (engine_->fencing()) {
         // Fenced mid-replication: this primary may be cut off and about to be
         // re-hosted from its backups — reporting commit here would lose the
         // update. Abort instead; the local records stay odd (uncommittable)
         // until recovery reconciles them (DESIGN.md §10).
-        ReleaseLocks(held_locks_, held_locks_.size());
-        held_locks_.clear();
-        engine_->stats().IncAbortStaleEpoch();
-        return Status::kStaleEpoch;
+        return AbortWith(Status::kStaleEpoch);
       }
-      DRTMR_LOG(Warning) << "replication failed: " << StatusString(rs);
+      DRTMR_LOG(Warning) << "replication failed: " << StatusString(s);
     }
     MakeupLocal();
   }
+  // C.5: write back remote records; a fused write's new seq also unlocks it.
   obs::PhaseTimer wb_timer(ctx_, obs::Phase::kWriteBack);
   (void)WriteBackRemote();  // past the commit point: recovery patches misses
 
@@ -908,9 +797,8 @@ Status Transaction::CommitReadWrite() {
   }
   engine_->stats().IncCommit();
 
-  // C.6: unlock remote records.
-  ReleaseLocks(held_locks_, held_locks_.size());
-  held_locks_.clear();
+  // C.6: unlock.
+  Unlock(/*committed=*/true);
   return Status::kOk;
 }
 
@@ -952,8 +840,6 @@ Status Transaction::Commit() {
   Status s;
   if (read_only) {
     s = CommitReadOnly();
-  } else if (engine_->config().fused_seq_lock) {
-    s = CommitReadWriteFused();
   } else {
     s = CommitReadWrite();
   }
@@ -991,8 +877,7 @@ void Transaction::RecordHistory(bool read_only) {
   for (const AccessEntry& e : read_set_) {
     // Normalize to the committable version the commit-time re-check validated
     // against — the final seq of the write that produced the observed payload.
-    const uint64_t v = rules_.replication ? ((e.seq + 1) & ~1ull) : e.seq;
-    rec.reads.push_back({e.table->id(), e.key, v});
+    rec.reads.push_back({e.table->id(), e.key, rules_.Committable(e.seq)});
   }
   rec.writes.reserve(write_set_.size());
   for (size_t i = 0; i < write_set_.size(); ++i) {
@@ -1002,264 +887,6 @@ void Transaction::RecordHistory(bool read_only) {
                           rules_.RemoteCommitSeq(commit_seq_[i])});
   }
   chk::HistoryRecorder::Global().Record(std::move(rec));
-}
-
-Status Transaction::CommitReadWriteFused() {
-  // §4.4's GLOB-atomicity variant. For every remote record, one RDMA CAS on
-  // the seqnum both locks it (top bit) and validates it (the expected value
-  // is the closest committable seq at or after the one observed during
-  // execution — exactly the Table 4 read condition). Write-set records are
-  // unlocked implicitly by the C.5 write-back of the new seqnum; read-only
-  // records are unlocked by restoring the expected value.
-  if (engine_->fencing() &&
-      !engine_->membership()->CommitAllowed(ctx_->node_id, ctx_->clock.now_ns(), begin_epoch_)) {
-    engine_->stats().IncAbortStaleEpoch();
-    return Status::kStaleEpoch;
-  }
-  commit_seq_.assign(write_set_.size(), 0);
-  staged_seq_.assign(write_set_.size(), kNotStaged);
-  rep_staged_ = false;
-
-  struct FusedTarget {
-    uint32_t node;
-    uint64_t offset;
-    uint64_t expected;   // committable seq the CAS expects
-    bool written;
-  };
-  std::vector<FusedTarget> targets;
-  auto expected_of = [&](uint64_t observed_seq) {
-    return rules_.replication ? ((observed_seq + 1) & ~1ull) : observed_seq;
-  };
-  auto add_target = [&](uint32_t node, uint64_t offset, uint64_t seq, bool written) {
-    for (auto& t : targets) {
-      if (t.node == node && t.offset == offset) {
-        t.written = t.written || written;
-        return;
-      }
-    }
-    targets.push_back({node, offset, expected_of(seq), written});
-  };
-  for (const AccessEntry& e : read_set_) {
-    if (!IsLocal(e.node)) {
-      add_target(e.node, e.offset, e.seq, false);
-    }
-  }
-  for (size_t i = 0; i < write_set_.size(); ++i) {
-    const WriteEntry& w = write_set_[i];
-    if (!IsLocal(w.access.node)) {
-      add_target(w.access.node, w.access.offset, w.access.seq, true);
-    }
-  }
-  std::sort(targets.begin(), targets.end(), [](const FusedTarget& a, const FusedTarget& b) {
-    return std::tie(a.node, a.offset) < std::tie(b.node, b.offset);
-  });
-
-  // Fused C.1+C.2: lock-and-validate with one CAS per record. The fused CAS
-  // does both jobs at once, so the whole loop is attributed to kLock.
-  sim::RdmaNic* nic = self_->nic();
-  size_t locked = 0;
-  bool failed = false;
-  {
-    obs::PhaseTimer timer(ctx_, obs::Phase::kLock);
-    for (; locked < targets.size(); ++locked) {
-      const FusedTarget& t = targets[locked];
-      uint64_t observed = 0;
-      const Status cs =
-          nic->CompareSwap(ctx_, t.node, t.offset + RecordLayout::kSeqOff, t.expected,
-                           store::SeqWord::WithLock(t.expected), &observed);
-      if (cs != Status::kOk) {
-        failed = true;
-        break;
-      }
-    }
-  }
-  auto unlock_range = [&](size_t count, bool written_too) {
-    uint64_t completion = 0;
-    for (size_t i = 0; i < count; ++i) {
-      const FusedTarget& t = targets[i];
-      if (t.written && !written_too) {
-        continue;  // implicitly unlocked by the write-back
-      }
-      (void)nic->CompareSwapPosted(ctx_, t.node, t.offset + RecordLayout::kSeqOff,
-                                   store::SeqWord::WithLock(t.expected), t.expected, nullptr,
-                                   &completion);
-    }
-  };
-  if (failed) {
-    unlock_range(locked, /*written_too=*/true);
-    engine_->stats().IncAbortValidation();
-    return Status::kAborted;
-  }
-  // Record the commit-base seq of remote write entries.
-  for (size_t i = 0; i < write_set_.size(); ++i) {
-    const WriteEntry& w = write_set_[i];
-    if (!IsLocal(w.access.node)) {
-      commit_seq_[i] = expected_of(w.access.seq);
-    }
-  }
-
-  // R.1 issued early, right after the fused lock+validate: the staged slots
-  // overlap the HTM step and any fallback work.
-  if (engine_->config().replication) {
-    obs::PhaseTimer timer(ctx_, obs::Phase::kReplication);
-    StageReplicationEarly();
-  }
-
-  // C.3 + C.4 inside one HTM region (unchanged; local records are never
-  // fused-locked by this transaction).
-  Status s;
-  {
-    obs::PhaseTimer timer(ctx_, obs::Phase::kHtmCommit);
-    s = HtmValidateAndApply();
-  }
-  if (s == Status::kStaleEpoch) {
-    unlock_range(targets.size(), true);
-    engine_->stats().IncAbortStaleEpoch();
-    return Status::kStaleEpoch;
-  }
-  if (s == Status::kConflict) {
-    unlock_range(targets.size(), true);
-    engine_->stats().IncAbortValidation();
-    return Status::kAborted;
-  }
-  if (s == Status::kAborted) {
-    // Fallback (Â§6.1 under the fused scheme). The remote records stay fused-
-    // locked the whole time, so their validation keeps holding; first give
-    // the HTM region more attempts, then lock the local read/write sets with
-    // loopback fused CASes and apply without HTM. One opaque kFallback phase.
-    obs::PhaseTimer fallback_timer(ctx_, obs::Phase::kFallback);
-    engine_->stats().IncFallback();
-    for (int attempt = 0; attempt < 16 && s == Status::kAborted; ++attempt) {
-      std::this_thread::yield();
-      s = HtmValidateAndApply();
-    }
-    if (s == Status::kStaleEpoch) {
-      unlock_range(targets.size(), true);
-      engine_->stats().IncAbortStaleEpoch();
-      return Status::kStaleEpoch;
-    }
-    if (s == Status::kConflict) {
-      unlock_range(targets.size(), true);
-      engine_->stats().IncAbortValidation();
-      return Status::kAborted;
-    }
-    if (s == Status::kAborted) {
-      // Lock local records (sorted) with the validation fused into the CAS.
-      struct LocalTarget {
-        uint64_t offset;
-        uint64_t expected;
-        size_t ws_index;  // ~0 for read-only
-        bool blind;
-      };
-      std::vector<LocalTarget> locals;
-      auto add_local = [&](uint64_t offset, uint64_t seq, size_t ws_index, bool blind) {
-        for (auto& t : locals) {
-          if (t.offset == offset) {
-            if (ws_index != ~0ull) {
-              t.ws_index = ws_index;
-            }
-            return;
-          }
-        }
-        locals.push_back({offset, expected_of(seq), ws_index, blind});
-      };
-      for (const AccessEntry& e : read_set_) {
-        if (IsLocal(e.node)) {
-          add_local(e.offset, e.seq, ~0ull, false);
-        }
-      }
-      for (size_t i = 0; i < write_set_.size(); ++i) {
-        if (IsLocal(write_set_[i].access.node)) {
-          add_local(write_set_[i].access.offset, write_set_[i].access.seq, i,
-                    write_set_[i].blind);
-        }
-      }
-      std::sort(locals.begin(), locals.end(),
-                [](const LocalTarget& a, const LocalTarget& b) { return a.offset < b.offset; });
-      size_t llocked = 0;
-      bool lfail = false;
-      for (; llocked < locals.size(); ++llocked) {
-        LocalTarget& t = locals[llocked];
-        if (t.blind) {
-          // A blind write only needs committability: refresh the expected seq
-          // from the live record before fusing the lock.
-          const uint64_t cur = store::SeqWord::Value(
-              self_->bus()->ReadU64(ctx_, t.offset + RecordLayout::kSeqOff));
-          if (rules_.WriteValid(cur)) {
-            t.expected = cur;
-          }
-        }
-        uint64_t observed = 0;
-        if (nic->CompareSwap(ctx_, ctx_->node_id, t.offset + RecordLayout::kSeqOff, t.expected,
-                             store::SeqWord::WithLock(t.expected), &observed) != Status::kOk) {
-          lfail = true;
-          break;
-        }
-      }
-      auto unlock_locals = [&](size_t count, bool written_too) {
-        uint64_t completion = 0;
-        for (size_t i = 0; i < count; ++i) {
-          const LocalTarget& t = locals[i];
-          if (t.ws_index != ~0ull && !written_too) {
-            continue;  // written records get their final seq below
-          }
-          (void)nic->CompareSwapPosted(ctx_, ctx_->node_id, t.offset + RecordLayout::kSeqOff,
-                                       store::SeqWord::WithLock(t.expected), t.expected,
-                                       nullptr, &completion);
-        }
-      };
-      if (lfail) {
-        unlock_locals(llocked, true);
-        unlock_range(targets.size(), true);
-        engine_->stats().IncAbortValidation();
-        return Status::kAborted;
-      }
-      // Everything is locked and validated; apply local writes without HTM.
-      // The records' seq fields carry the lock bit, which the image write
-      // replaces with the new (unlocked) value — an implicit local unlock.
-      std::vector<std::byte> image;
-      for (const LocalTarget& t : locals) {
-        if (t.ws_index == ~0ull) {
-          continue;
-        }
-        const WriteEntry& w = write_set_[t.ws_index];
-        commit_seq_[t.ws_index] = t.expected;
-        BuildImage(w, rules_.LocalCommitSeq(t.expected), &image);
-        self_->bus()->Write(ctx_, w.access.offset + RecordLayout::kSeqOff,
-                            image.data() + RecordLayout::kSeqOff,
-                            image.size() - RecordLayout::kSeqOff);
-      }
-      unlock_locals(locals.size(), /*written_too=*/false);
-    }
-  }
-
-  if (engine_->config().replication) {
-    obs::PhaseTimer timer(ctx_, obs::Phase::kReplication);
-    const Status rs = FinishReplication();
-    if (rs != Status::kOk) {
-      if (engine_->fencing()) {
-        // A fenced primary must not report commit on partial replication.
-        unlock_range(targets.size(), /*written_too=*/true);
-        engine_->stats().IncAbortStaleEpoch();
-        return Status::kStaleEpoch;
-      }
-      DRTMR_LOG(Warning) << "replication failed: " << StatusString(rs);
-    }
-    MakeupLocal();
-  }
-  obs::PhaseTimer wb_timer(ctx_, obs::Phase::kWriteBack);
-  // Clears the lock bit of written records (new seq); past the commit point.
-  (void)WriteBackRemote();
-  for (MutationEntry& m : mutations_) {
-    (void)engine_->Mutate(ctx_, m);  // past the commit point: idempotent
-  }
-  if (engine_->config().replication) {
-    engine_->replicator()->EndTransaction(ctx_, txn_id_);
-  }
-  engine_->stats().IncCommit();
-  // C.6: unlock read-only remote records (one posted CAS each).
-  unlock_range(targets.size(), /*written_too=*/false);
-  return Status::kOk;
 }
 
 }  // namespace drtmr::txn

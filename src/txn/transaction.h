@@ -6,26 +6,32 @@
 // needed — they are complete once execution finishes (the paper's key
 // generality claim over DrTM).
 //
-// Commit phase (Fig. 7, plus Table 4 / Fig. 9 when replication is on):
-//   C.1 lock remote read+write sets with one-sided RDMA CAS (sorted; the
-//       owner machine id is encoded for dangling-lock recovery),
-//   C.2 validate the remote read set with RDMA READs,
+// Commit phase (Fig. 7, plus Table 4 / Fig. 9 when replication is on), one
+// pipeline for both lock strategies:
+//   C.1 lock remote read+write sets with one-sided RDMA CAS (sorted): by
+//       default on the lock word, which encodes the owner machine id for
+//       dangling-lock recovery; under TxnConfig::fused_seq_lock (§4.4,
+//       IBV_ATOMIC_GLOB) on the seq word, which also validates the record,
+//   C.2 validate the remote read set with RDMA READs (empty when fused),
 //   HTM region { C.3 validate local read set; check local write set unlocked
 //       and committable; C.4 apply buffered local writes, seq := seq+1 },
 //   R.1 replicate every written record to its backups' NVM logs,
 //   R.2 makeup: bump local written seqs to the next even value,
-//   C.5 write back remote records (seq := seq+2) with RDMA WRITEs,
+//   C.5 write back remote records (seq := seq+2) with RDMA WRITEs; a fused
+//       write's new seq also unlocks it,
 //   report committed,
-//   C.6 unlock remote records with RDMA CAS.
+//   C.6 unlock the remaining locked records with RDMA CAS.
 //
 // Read-only transactions (§4.5, Fig. 8) skip HTM and locking entirely:
 // execution-phase remote reads additionally check the lock, and commit just
 // re-validates sequence numbers.
 //
 // The fallback handler (§6.1-6.2) takes over when the HTM step cannot make
-// progress: it releases held remote locks, re-locks *all* records (local ones
-// via loopback RDMA CAS, for atomicity uniformity with remote CAS) in global
-// address order, validates, applies without HTM, and unlocks.
+// progress: it keeps the C.1 locks, locks the local read and write sets with
+// the same strategy through loopback RDMA CAS (for atomicity uniformity with
+// remote CAS), validates them, re-checks fencing, and applies without HTM.
+// Locking is no-wait, so unlike the paper it need not release and re-lock
+// everything in global address order to avoid deadlock.
 #ifndef DRTMR_SRC_TXN_TRANSACTION_H_
 #define DRTMR_SRC_TXN_TRANSACTION_H_
 
@@ -86,33 +92,53 @@ class Transaction : public TxnApi {
   uint64_t begin_epoch() const override { return begin_epoch_; }
 
  private:
+  // One record the commit locks.
+  static constexpr size_t kReadOnly = ~size_t{0};
   struct LockTarget {
     uint32_t node;
     uint64_t offset;
+    size_t ws_index;    // write_set_ index, or kReadOnly
+    uint64_t expected;  // committable seq observed; the fused CAS expects it
     auto operator<=>(const LockTarget&) const = default;
+  };
+  // Posts the unlock of every held target when a commit attempt leaves before
+  // C.6; the committed path unlocks itself, after reporting commit (Fig. 7).
+  struct LockGuard {
+    Transaction* txn;
+    ~LockGuard() { txn->Unlock(/*committed=*/false); }
   };
 
   Status CommitReadOnly();
   Status CommitReadWrite();
-  // §4.4 IBV_ATOMIC_GLOB variant: one CAS per remote record fuses C.1+C.2
-  // (lock bit in the seqnum); C.5 write-backs unlock written records.
-  Status CommitReadWriteFused();
 
-  // C.1. Returns kOk with all targets locked, or releases everything.
-  Status LockRemoteSets(const std::vector<LockTarget>& targets);
-  // Acquires one lock, handling dangling owners (§5.2). `via_nic` uses
-  // loopback CAS for local records in the fallback path (§6.2).
-  Status AcquireLock(const LockTarget& t);
-  void ReleaseLocks(const std::vector<LockTarget>& targets, size_t count);
+  // The one place a failed commit step is booked. kStaleEpoch and kTimeout
+  // keep their type and counter. Any other cause returns kAborted, counted as
+  // a lock abort when a two-verb lock CAS lost and as a validation abort
+  // otherwise (a fused lock CAS validates as it locks).
+  enum class Step : uint8_t { kLock, kValidate };
+  Status AbortWith(Status cause, Step step = Step::kValidate);
+  // True when fencing (DESIGN.md §10) forbids this node to commit now.
+  bool Fenced() const;
 
-  // C.2 (+ committable check of remote write-set records under replication).
-  Status ValidateRemote(uint64_t* remote_ws_seq);
+  // Appends the remote (C.1) or local (fallback) records to targets_, in
+  // address order and deduplicated.
+  void AddTargets(bool local);
+  // Locks targets_ from the first unheld one on; stops at the first failure.
+  // Handles dangling owners (§5.2) on the two-verb strategy.
+  Status LockTargets();
+  Status LockOne(const LockTarget& t);
+  // Releases every held target; on commit, a fused write is left to its
+  // write-back.
+  void Unlock(bool committed);
+  // Two-verb validation of the remote (C.2) or local (fallback) records, with
+  // the committable check of written ones; sets their commit_seq_.
+  Status Validate(bool local);
   // HTM step C.3/C.4. Returns kOk, kConflict (validation failed — abort the
   // transaction), kStaleEpoch (the configuration epoch moved — fenced), or
   // kAborted (HTM kept aborting — take the fallback).
   Status HtmValidateAndApply();
-  // §6.1 fallback: lock everything (local via loopback CAS), validate, apply.
-  Status FallbackCommit(const std::vector<LockTarget>& remote_targets);
+  // Fallback C.4: writes the local records without HTM, under their locks.
+  void ApplyLocalWrites();
 
   // R.1, early half: stages one speculative log slot per write-set entry on
   // each backup (doorbell-chained, no fence) right after C.1, carrying the
@@ -152,14 +178,16 @@ class Transaction : public TxnApi {
   uint64_t begin_ns_ = 0;     // virtual time at Begin(), for phase/trace spans
   uint64_t begin_epoch_ = 0;  // epoch stamped in our registered memory at Begin()
   uint64_t lock_word_;
+  const bool fused_;  // lock strategy: TxnConfig::fused_seq_lock
   bool read_only_ = false;
   bool active_ = false;
 
   std::vector<AccessEntry> read_set_;
   std::vector<WriteEntry> write_set_;
   std::vector<MutationEntry> mutations_;
-  // Commit-time scratch: remote lock targets actually acquired.
-  std::vector<LockTarget> held_locks_;
+  // Commit-time scratch: the records to lock; the first locked_ are held.
+  std::vector<LockTarget> targets_;
+  size_t locked_ = 0;
   // Current seq observed at commit time for each write entry (index-aligned
   // with write_set_); becomes the base for the Table 4 increments.
   std::vector<uint64_t> commit_seq_;

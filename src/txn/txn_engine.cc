@@ -65,6 +65,25 @@ bool TxnEngine::OwnerAbsent(const sim::ThreadContext* ctx, uint64_t lock_word) c
 
 // ---------------- execution-phase reads ----------------
 
+namespace {
+
+// Records an accepted read of `rec` (table[key] at `off` on `node`) in
+// `entry`, and copies its payload out when the caller asked for it.
+void FillAccess(store::Table* table, uint32_t node, uint64_t key, uint64_t off,
+                const std::byte* rec, void* value_out, AccessEntry* entry) {
+  entry->table = table;
+  entry->node = node;
+  entry->key = key;
+  entry->offset = off;
+  entry->seq = store::SeqWord::Value(RecordLayout::GetSeq(rec));
+  entry->incarnation = RecordLayout::GetIncarnation(rec);
+  if (value_out != nullptr) {
+    RecordLayout::GatherValue(rec, value_out, table->value_size());
+  }
+}
+
+}  // namespace
+
 Status TxnEngine::ReadLocalRecord(sim::ThreadContext* ctx, store::Table* table, uint64_t key,
                                   void* value_out, AccessEntry* entry) {
   cluster::Node* node = cluster_->node(ctx->node_id);
@@ -94,36 +113,22 @@ Status TxnEngine::ReadLocalRecord(sim::ThreadContext* ctx, store::Table* table, 
     }
     if (LockWord::IsLocked(RecordLayout::GetLock(buf.data())) ||
         store::SeqWord::Locked(RecordLayout::GetSeq(buf.data()))) {
-      const uint64_t lock_word = RecordLayout::GetLock(buf.data());
       htm->Abort();
-      if (OwnerAbsent(ctx, lock_word)) {
-        // Passive dangling-lock release (§5.2): the owner machine crashed.
-        if (chk::AnalyzerEnabled()) {
-          chk::ProtocolAnalyzer::Global().NoteDanglingSteal(node->bus(), off, lock_word);
-        }
-        uint64_t obs;
-        node->bus()->CasU64(ctx, off + RecordLayout::kLockOff, lock_word, 0, &obs);
-        stats_.dangling_locks_released.fetch_add(1, std::memory_order_relaxed);
-        continue;
+      if (StealIfOwnerAbsent(ctx, ctx->node_id, off, RecordLayout::GetLock(buf.data()))) {
+        continue;  // passive dangling-lock release (§5.2): the owner crashed
       }
       // Linear jitter keyed to the loop's own attempt index (bit-identical to
       // the historical Range(50, 400) * (attempt + 1) charge sequence).
       ctx->Charge(util::Backoff::Linear(50, 400).DelayAt(attempt, &ctx->rng));
+      // TimeGate only syncs at Begin(), so this yield is what lets a
+      // descheduled lock holder run on a 1-core host.
       std::this_thread::yield();
       continue;
     }
     if (htm->Commit() != Status::kOk) {
       continue;
     }
-    entry->table = table;
-    entry->node = ctx->node_id;
-    entry->key = key;
-    entry->offset = off;
-    entry->seq = store::SeqWord::Value(RecordLayout::GetSeq(buf.data()));
-    entry->incarnation = RecordLayout::GetIncarnation(buf.data());
-    if (value_out != nullptr) {
-      RecordLayout::GatherValue(buf.data(), value_out, table->value_size());
-    }
+    FillAccess(table, ctx->node_id, key, off, buf.data(), value_out, entry);
     return Status::kOk;
   }
 
@@ -142,14 +147,7 @@ Status TxnEngine::ReadLocalRecord(sim::ThreadContext* ctx, store::Table* table, 
     node->bus()->Read(ctx, off, buf.data(), rec_bytes);
     if (LockWord::IsLocked(RecordLayout::GetLock(buf.data())) ||
         store::SeqWord::Locked(RecordLayout::GetSeq(buf.data()))) {
-      const uint64_t lock_word = RecordLayout::GetLock(buf.data());
-      if (OwnerAbsent(ctx, lock_word)) {
-        if (chk::AnalyzerEnabled()) {
-          chk::ProtocolAnalyzer::Global().NoteDanglingSteal(node->bus(), off, lock_word);
-        }
-        uint64_t obs;
-        node->bus()->CasU64(ctx, off + RecordLayout::kLockOff, lock_word, 0, &obs);
-        stats_.dangling_locks_released.fetch_add(1, std::memory_order_relaxed);
+      if (StealIfOwnerAbsent(ctx, ctx->node_id, off, RecordLayout::GetLock(buf.data()))) {
         continue;
       }
       std::this_thread::yield();
@@ -172,15 +170,7 @@ Status TxnEngine::ReadLocalRecord(sim::ThreadContext* ctx, store::Table* table, 
         RecordLayout::VersionsConsistent(buf.data(), table->value_size()),
         /*lock_checked=*/true);
   }
-  entry->table = table;
-  entry->node = ctx->node_id;
-  entry->key = key;
-  entry->offset = off;
-  entry->seq = store::SeqWord::Value(RecordLayout::GetSeq(buf.data()));
-  entry->incarnation = RecordLayout::GetIncarnation(buf.data());
-  if (value_out != nullptr) {
-    RecordLayout::GatherValue(buf.data(), value_out, table->value_size());
-  }
+  FillAccess(table, ctx->node_id, key, off, buf.data(), value_out, entry);
   return Status::kOk;
 }
 
@@ -244,15 +234,7 @@ Status TxnEngine::ReadRemoteRecord(sim::ThreadContext* ctx, store::Table* table,
           RecordLayout::GetLock(buf.data()),
           RecordLayout::VersionsConsistent(buf.data(), table->value_size()), check_lock);
     }
-    entry->table = table;
-    entry->node = node;
-    entry->key = key;
-    entry->offset = off;
-    entry->seq = store::SeqWord::Value(RecordLayout::GetSeq(buf.data()));
-    entry->incarnation = RecordLayout::GetIncarnation(buf.data());
-    if (value_out != nullptr) {
-      RecordLayout::GatherValue(buf.data(), value_out, table->value_size());
-    }
+    FillAccess(table, node, key, off, buf.data(), value_out, entry);
     return Status::kOk;
   }
   return Status::kAborted;
@@ -276,10 +258,10 @@ Status TxnEngine::ReadMetaRemote(sim::ThreadContext* ctx, const AccessEntry& e,
       ->Read(ctx, e.node, e.offset + RecordLayout::kLockOff, meta, sizeof(*meta));
 }
 
-void TxnEngine::StealIfOwnerAbsent(sim::ThreadContext* ctx, uint32_t node, uint64_t offset,
+bool TxnEngine::StealIfOwnerAbsent(sim::ThreadContext* ctx, uint32_t node, uint64_t offset,
                                    uint64_t lock_word) {
   if (!OwnerAbsent(ctx, lock_word)) {
-    return;
+    return false;
   }
   if (chk::AnalyzerEnabled()) {
     chk::ProtocolAnalyzer::Global().NoteDanglingSteal(cluster_->node(node)->bus(), offset,
@@ -290,6 +272,7 @@ void TxnEngine::StealIfOwnerAbsent(sim::ThreadContext* ctx, uint32_t node, uint6
       ->CompareSwap(ctx, node, offset + RecordLayout::kLockOff, lock_word, LockWord::kUnlocked,
                     nullptr);
   stats_.dangling_locks_released.fetch_add(1, std::memory_order_relaxed);
+  return true;
 }
 
 // ---------------- insert/delete shipping ----------------

@@ -135,8 +135,10 @@ class TxnEngine {
 
   // Passive dangling-lock release (§5.2): if `lock_word`'s owner is absent,
   // CAS it off the record at (node, offset) through the NIC (loopback for a
-  // local record); losing the race means another survivor freed it.
-  void StealIfOwnerAbsent(sim::ThreadContext* ctx, uint32_t node, uint64_t offset,
+  // local record) and return true; losing the race means another survivor
+  // freed it. The lock word is only ever CASed through the NIC: on kHca
+  // fabrics a CPU CAS racing an RDMA CAS on the same word is silently lost.
+  bool StealIfOwnerAbsent(sim::ThreadContext* ctx, uint32_t node, uint64_t offset,
                           uint64_t lock_word);
 
   // ---- mutation RPC (§4.3) ----

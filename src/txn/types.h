@@ -72,11 +72,13 @@ struct TxnConfig {
   // read-set locking.
   bool lock_remote_read_set = true;
 
-  // §4.4's IBV_ATOMIC_GLOB optimization: fuse C.1 locking and C.2 validation
-  // into one RDMA CAS per remote record by encoding the lock in the seqnum
-  // (store::SeqWord); C.5 write-backs then implicitly unlock written records.
-  // Requires the fabric to run at AtomicityLevel::kGlob. Dangling-lock
-  // recovery is unavailable in this mode (the seq bit carries no owner id).
+  // The commit pipeline's lock strategy. §4.4's IBV_ATOMIC_GLOB
+  // optimization: fuse C.1 locking and C.2 validation into one RDMA CAS per
+  // record by encoding the lock in the seqnum (store::SeqWord), C.5
+  // write-backs then implicitly unlocking written records; the fallback locks
+  // local records the same way. Requires the fabric to run at
+  // AtomicityLevel::kGlob. Dangling-lock recovery is unavailable in this mode
+  // (the seq bit carries no owner id).
   bool fused_seq_lock = false;
 
   // Ablation (DESIGN.md §5): charges every commit-phase remote operation an
@@ -188,16 +190,15 @@ struct SeqRules {
   // Mirrors TxnConfig::unsafe_skip_read_validation (torture teeth only).
   bool skip_read_validation = false;
 
-  // Validation for read-set entries: the current seq must equal the closest
-  // committable value at or after the observed one.
+  // The closest committable seq at or after `observed`.
+  uint64_t Committable(uint64_t observed) const {
+    return replication ? ((observed + 1) & ~1ull) : observed;
+  }
+
+  // Validation for read-set entries: the current seq must still be the
+  // committable one at or after the observed seq.
   bool ReadValid(uint64_t observed, uint64_t current) const {
-    if (skip_read_validation) {
-      return true;
-    }
-    if (!replication) {
-      return observed == current;
-    }
-    return ((observed + 1) & ~1ull) == current;
+    return skip_read_validation || Committable(observed) == current;
   }
 
   // Validation for write-set entries: the record must be committable.

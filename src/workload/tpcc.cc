@@ -415,8 +415,8 @@ bool TpccWorkload::TxDelivery(sim::ThreadContext* ctx, txn::TxnApi* txn, FastRan
     }
     const uint64_t o_id = no_key & 0xfffffffffull;
     NewOrderRow norow;
-    if (txn->Read(new_order_, home, no_key, &norow) != Status::kOk) {
-      continue;  // raced another delivery
+    if (txn->Read(new_order_, home, no_key, &norow) != Status::kOk || norow.flag == 0) {
+      continue;  // raced another delivery (committed; its removal lands after)
     }
     norow.flag = 0;  // tombstone write: serializes competing deliveries
     if (txn->Write(new_order_, home, no_key, &norow) != Status::kOk) {

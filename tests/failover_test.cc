@@ -18,6 +18,7 @@
 #include "src/txn/transaction.h"
 #include "src/txn/txn_engine.h"
 #include "src/util/time_gate.h"
+#include "tests/lock_state.h"
 
 namespace drtmr::cluster {
 namespace {
@@ -34,11 +35,16 @@ constexpr int64_t kInitialBalance = 1000;
 
 class FailoverTest : public ::testing::Test {
  protected:
+  // `fused_seq_lock` picks the §4.4 lock strategy (on a GLOB fabric) over the
+  // default lock-word CAS.
   void Build(uint32_t nodes, uint64_t keys_per_node, const MembershipConfig& mcfg,
-             uint64_t join_lease_ns) {
+             uint64_t join_lease_ns, bool fused_seq_lock = false) {
     nodes_ = nodes;
     keys_per_node_ = keys_per_node;
     cfg_.num_nodes = nodes;
+    if (fused_seq_lock) {
+      cfg_.atomicity = sim::AtomicityLevel::kGlob;
+    }
     cfg_.workers_per_node = 2;
     cfg_.memory_bytes = 16 << 20;
     cfg_.log_bytes = 4 << 20;
@@ -57,6 +63,7 @@ class FailoverTest : public ::testing::Test {
     replicator_ = std::make_unique<rep::PrimaryBackupReplicator>(cluster_.get(), rcfg);
     txn::TxnConfig tcfg;
     tcfg.replication = true;
+    tcfg.fused_seq_lock = fused_seq_lock;
     engine_ = std::make_unique<txn::TxnEngine>(cluster_.get(), catalog_.get(), tcfg,
                                                coordinator_.get(), replicator_.get());
     engine_->StartServices();
@@ -115,6 +122,18 @@ class FailoverTest : public ::testing::Test {
     return c.value;
   }
 
+  // No record of partition `part` holds a lock word or a fused seq lock bit.
+  void ExpectPartitionUnlocked(uint32_t part) {
+    const uint32_t n = pmap_->node_of(part);
+    for (uint64_t i = 0; i < keys_per_node_; ++i) {
+      const uint64_t key = KeyOf(part, i);
+      ExpectUnlocked(cluster_->node(n)->bus(), table_->hash(n)->Lookup(nullptr, key), key);
+    }
+  }
+
+  // Runs ZombieWriterIsFencedAfterRemoval on the chosen lock strategy.
+  void ExpectZombieWriterFenced(bool fused_seq_lock);
+
   // One read-modify-write transfer attempt from `ctx`; returns Commit status
   // (or the first failing step's status).
   Status TryDeposit(sim::ThreadContext* ctx, uint32_t part, uint64_t i, int64_t delta) {
@@ -151,14 +170,15 @@ class FailoverTest : public ::testing::Test {
 // A transaction that began before its node was removed from the view must not
 // be able to mutate survivor state afterwards: its begin epoch is the old
 // stamp, so the survivor's fabric refuses the C.1 lock CAS (issuer stamp lags
-// the target's) and the commit comes back kStaleEpoch with the target record
-// untouched. Leases are effectively infinite here so epoch fencing is the
-// only mechanism under test; the view change is driven deterministically by
-// single-stepping the driver — no threads, no timing.
-TEST_F(FailoverTest, ZombieWriterIsFencedAfterRemoval) {
+// the target's) and the commit comes back kStaleEpoch, booked as a fencing
+// abort, with the target record untouched and unlocked. Both lock strategies
+// must type the bounce the same way. Leases are effectively infinite here so
+// epoch fencing is the only mechanism under test; the view change is driven
+// deterministically by single-stepping the driver — no threads, no timing.
+void FailoverTest::ExpectZombieWriterFenced(bool fused_seq_lock) {
   MembershipConfig mcfg;
   mcfg.lease_ns = 1'000'000'000;  // lease checks always pass; fencing is the fence
-  Build(/*nodes=*/3, /*keys_per_node=*/4, mcfg, /*join_lease_ns=*/~0ull >> 2);
+  Build(/*nodes=*/3, /*keys_per_node=*/4, mcfg, /*join_lease_ns=*/~0ull >> 2, fused_seq_lock);
   membership_->Arm();
   const uint64_t old_epoch = coordinator_->view().epoch;
 
@@ -184,8 +204,11 @@ TEST_F(FailoverTest, ZombieWriterIsFencedAfterRemoval) {
   EXPECT_EQ(membership_->NodeEpoch(1), old_epoch);
 
   // The staged commit bounces: the survivor's NIC refuses the lock CAS.
+  const uint64_t fenced_before = engine_->stats().aborts_stale_epoch.load();
   EXPECT_EQ(txn.Commit(), Status::kStaleEpoch);
+  EXPECT_EQ(engine_->stats().aborts_stale_epoch.load(), fenced_before + 1);
   EXPECT_EQ(ReadValue(0, 0), kInitialBalance);
+  ExpectPartitionUnlocked(0);
 
   // A brand-new transaction from the zombie is fenced too — its begin epoch
   // re-reads its own (stale) word, and every mutating verb still bounces.
@@ -198,6 +221,14 @@ TEST_F(FailoverTest, ZombieWriterIsFencedAfterRemoval) {
   EXPECT_EQ(ReadValue(0, 0), kInitialBalance + 500);
   EXPECT_EQ(TryDeposit(cluster_->node(2)->context(0), 1, 0, 77), Status::kOk);
   EXPECT_EQ(ReadValue(1, 0), kInitialBalance + 77);
+}
+
+TEST_F(FailoverTest, ZombieWriterIsFencedAfterRemoval) {
+  ExpectZombieWriterFenced(/*fused_seq_lock=*/false);
+}
+
+TEST_F(FailoverTest, FusedZombieWriterIsFencedAfterRemoval) {
+  ExpectZombieWriterFenced(/*fused_seq_lock=*/true);
 }
 
 // Full autonomous round-trip under a transient freeze: the victim's heartbeat

@@ -1,10 +1,12 @@
 // Tests of the fallback handler (§6.1-6.2): with the HTM retry threshold
-// forced to zero, every read-write commit takes the fallback path — lock all
-// records (local ones via loopback RDMA CAS), validate, apply without HTM,
-// unlock. The entire protocol must still be serializable.
+// forced to zero, every read-write commit takes the fallback path — keep the
+// C.1 locks, lock the local records via loopback RDMA CAS, validate, apply
+// without HTM, unlock. The entire protocol must still be serializable, on
+// either lock strategy (lock-word CAS, or the §4.4 fused seq CAS).
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <ostream>
 #include <thread>
 #include <vector>
 
@@ -14,6 +16,7 @@
 #include "src/txn/transaction.h"
 #include "src/txn/txn_engine.h"
 #include "src/util/test_seed.h"
+#include "tests/lock_state.h"
 
 namespace drtmr::txn {
 namespace {
@@ -23,13 +26,25 @@ struct Cell {
   uint64_t pad[6];
 };
 
-class FallbackTest : public ::testing::TestWithParam<bool> {
+// Replication on or off under one lock strategy. Printed as the replication
+// flag alone, so test names end in /false or /true; the instantiation prefix
+// names the strategy.
+struct FallbackParam {
+  bool replication;
+  bool fused_seq_lock;
+};
+void PrintTo(const FallbackParam& p, std::ostream* os) { *os << std::boolalpha << p.replication; }
+
+class FallbackTest : public ::testing::TestWithParam<FallbackParam> {
  protected:
   FallbackTest() {
     cfg_.num_nodes = 3;
     cfg_.workers_per_node = 4;
     cfg_.memory_bytes = 16 << 20;
     cfg_.log_bytes = 2 << 20;
+    if (Fused()) {
+      cfg_.atomicity = sim::AtomicityLevel::kGlob;
+    }
     cluster_ = std::make_unique<cluster::Cluster>(cfg_);
     catalog_ = std::make_unique<store::Catalog>(cluster_.get());
     store::TableOptions opt;
@@ -40,7 +55,7 @@ class FallbackTest : public ::testing::TestWithParam<bool> {
     for (uint32_t i = 0; i < 3; ++i) {
       coordinator_->Join(i, 0, ~0ull >> 2);
     }
-    const bool replication = GetParam();
+    const bool replication = Replication();
     if (replication) {
       rep::RepConfig rcfg;
       rcfg.replicas = 3;
@@ -49,6 +64,7 @@ class FallbackTest : public ::testing::TestWithParam<bool> {
     TxnConfig tcfg;
     tcfg.htm_retry_threshold = 0;  // force the fallback handler on every commit
     tcfg.replication = replication;
+    tcfg.fused_seq_lock = Fused();
     engine_ = std::make_unique<TxnEngine>(cluster_.get(), catalog_.get(), tcfg,
                                           coordinator_.get(), replicator_.get());
     engine_->StartServices();
@@ -72,6 +88,15 @@ class FallbackTest : public ::testing::TestWithParam<bool> {
   ~FallbackTest() override { engine_->StopServices(); }
 
   uint32_t HomeOf(uint64_t k) const { return static_cast<uint32_t>(k % 3); }
+  static bool Replication() { return GetParam().replication; }
+  static bool Fused() { return GetParam().fused_seq_lock; }
+  static std::vector<uint64_t> AllKeys() {
+    std::vector<uint64_t> keys;
+    for (uint64_t k = 1; k <= 24; ++k) {
+      keys.push_back(k);
+    }
+    return keys;
+  }
 
   cluster::ClusterConfig cfg_;
   std::unique_ptr<cluster::Cluster> cluster_;
@@ -98,9 +123,9 @@ TEST_P(FallbackTest, SingleCommitTakesFallbackAndApplies) {
   EXPECT_GE(engine_->stats().fallbacks.load(), 1u);
 
   // The record is unlocked and committable afterwards.
+  ExpectNoLocksHeld(cluster_.get(), table_, {3});
   const uint64_t off = table_->hash(0)->Lookup(nullptr, 3);
-  EXPECT_EQ(cluster_->node(0)->bus()->ReadU64(nullptr, off + store::RecordLayout::kLockOff), 0u);
-  if (GetParam()) {
+  if (Replication()) {
     // Seq parity (even = committable) only exists under optimistic replication.
     EXPECT_EQ(cluster_->node(0)->bus()->ReadU64(nullptr, off + store::RecordLayout::kSeqOff) % 2,
               0u);
@@ -164,12 +189,12 @@ TEST_P(FallbackTest, ConcurrentFallbackTransfersConserveMoney) {
     Cell c{};
     store::RecordLayout::GatherValue(rec.data(), &c, sizeof(c));
     total += c.value;
-    EXPECT_EQ(store::RecordLayout::GetLock(rec.data()), 0u) << "leaked lock on key " << k;
-    if (GetParam()) {
+    if (Replication()) {
       EXPECT_EQ(store::RecordLayout::GetSeq(rec.data()) % 2, 0u) << "uncommittable key " << k;
     }
   }
   EXPECT_EQ(total, 24 * 100);
+  ExpectNoLocksHeld(cluster_.get(), table_, AllKeys());
 }
 
 TEST_P(FallbackTest, FallbackAndFastPathInterleave) {
@@ -178,7 +203,8 @@ TEST_P(FallbackTest, FallbackAndFastPathInterleave) {
   // committers (locking) and HTM committers must cooperate via the Fig. 5
   // lock check.
   TxnConfig fast_cfg;
-  fast_cfg.replication = GetParam();
+  fast_cfg.replication = Replication();
+  fast_cfg.fused_seq_lock = Fused();
   TxnEngine fast_engine(cluster_.get(), catalog_.get(), fast_cfg, coordinator_.get(),
                         replicator_.get());
   std::atomic<bool> stop{false};
@@ -214,10 +240,13 @@ TEST_P(FallbackTest, FallbackAndFastPathInterleave) {
   }
   stop.store(true);
   fallback_thread.join();
-  SUCCEED();
+  ExpectNoLocksHeld(cluster_.get(), table_, AllKeys());
 }
 
-INSTANTIATE_TEST_SUITE_P(WithAndWithoutReplication, FallbackTest, ::testing::Bool());
+INSTANTIATE_TEST_SUITE_P(WithAndWithoutReplication, FallbackTest,
+                         ::testing::Values(FallbackParam{false, false}, FallbackParam{true, false}));
+INSTANTIATE_TEST_SUITE_P(FusedWithAndWithoutReplication, FallbackTest,
+                         ::testing::Values(FallbackParam{false, true}, FallbackParam{true, true}));
 
 // Fused-lock transactions conflicting with HTM transactions on the same cache
 // line (§4.4 meets §6.1): under fused seq locking the fallback committer's
@@ -344,9 +373,7 @@ TEST_F(FusedInterleaveTest, FusedFallbackAndHtmCommitsShareCacheLines) {
     Cell c{};
     store::RecordLayout::GatherValue(rec.data(), &c, sizeof(c));
     total += c.value;
-    const uint64_t seq = store::RecordLayout::GetSeq(rec.data());
-    EXPECT_FALSE(store::SeqWord::Locked(seq)) << "fused lock bit leaked on key " << k;
-    EXPECT_EQ(store::RecordLayout::GetLock(rec.data()), 0u) << "leaked lock on key " << k;
+    ExpectUnlocked(cluster_->node(node)->bus(), off, k);
     EXPECT_TRUE(store::RecordLayout::VersionsConsistent(rec.data(), sizeof(Cell)))
         << "torn record on key " << k;
   }

@@ -172,6 +172,40 @@ TEST_F(TpccTxnTest, DeliveryConsumesEachNewOrderOnce) {
   EXPECT_GT(delivered, 0u);
 }
 
+// A delivery's tombstone commits before its NEW_ORDER removal lands (the
+// removal is a mutation applied after the commit point), so a concurrent
+// deliverer can still find the tombstoned row in the index. It must treat the
+// order as delivered, not deliver it a second time.
+TEST_F(TpccTxnTest, DeliverySkipsTombstonedNewOrder) {
+  RunType(kNewOrder, 40);
+  store::Table* new_order = tpcc_->table(TpccWorkload::kNewOrderTab);
+  sim::MemoryBus* bus = cluster_->node(0)->bus();
+  // Leave each district's oldest pending order as a committed delivery does
+  // until its removal lands: tombstoned, still indexed.
+  for (uint64_t d = 1; d <= 10; ++d) {
+    uint64_t key = 0, off = 0;
+    if (!new_order->btree(0)->FirstGreaterEqual(nullptr, TpccWorkload::OKey(1, d, 1),
+                                                TpccWorkload::OKey(1, d, ~0ull >> 28), &key,
+                                                &off)) {
+      continue;
+    }
+    std::vector<std::byte> rec(new_order->record_bytes());
+    bus->Read(nullptr, off, rec.data(), rec.size());
+    const NewOrderRow tombstone{0};
+    store::RecordLayout::ScatterValue(rec.data(), &tombstone, sizeof(tombstone));
+    bus->Write(nullptr, off, rec.data(), rec.size());
+  }
+  RunType(kDelivery, 1);
+  for (uint64_t d = 1; d <= 10; ++d) {
+    for (uint64_t c = 1; c <= tc_.customers_per_district; ++c) {
+      EXPECT_EQ(ReadRow<CustomerRow>(TpccWorkload::kCustomerTab, 0, TpccWorkload::CKey(1, d, c))
+                    .delivery_cnt,
+                0u)
+          << "district " << d << " customer " << c << " credited for a delivered order";
+    }
+  }
+}
+
 TEST_F(TpccTxnTest, OrderStatusSeesLatestOrder) {
   RunType(kNewOrder, 30);
   // For every customer with a recorded last order, that order must exist and

@@ -11,6 +11,7 @@
 
 #include "src/store/record.h"
 #include "src/txn/txn_engine.h"
+#include "tests/lock_state.h"
 
 namespace drtmr::txn {
 namespace {
@@ -178,6 +179,7 @@ TEST_F(TxnTest, WriteWriteConflictAbortsLoser) {
   ASSERT_EQ(t2.Commit(), Status::kOk);
 
   EXPECT_EQ(t1.Commit(), Status::kAborted) << "stale read set must fail validation";
+  ExpectNoLocksHeld(cluster_.get(), accounts_, {6});
   EXPECT_EQ(Balance(6), 2u);
 }
 
@@ -200,6 +202,7 @@ TEST_F(TxnTest, RemoteValidationConflict) {
   a.balance = 111;
   ASSERT_EQ(t1.Write(accounts_, 1, 7, &a), Status::kOk);
   EXPECT_EQ(t1.Commit(), Status::kAborted);
+  ExpectNoLocksHeld(cluster_.get(), accounts_, {7});
   EXPECT_EQ(Balance(7), 777u);
 }
 
@@ -315,8 +318,10 @@ TEST_F(LockedReadSetTest, LocalReadSetValidationRefusesLockedRecord) {
 }
 
 TEST_F(TxnTest, LockConflictOnRemoteCommit) {
-  // Hold the lock of a remote record; a commit needing it must abort (C.1).
+  // Hold the lock of a remote record; a commit needing it must abort (C.1)
+  // and release the lock it already took on key 1, which sorts first.
   const uint64_t off = accounts_->hash(1)->Lookup(cluster_->node(1)->context(0), 16);
+  ASSERT_LT(accounts_->hash(1)->Lookup(nullptr, 1), off);
   const uint64_t owner = LockWord::Make(2, 3);
   uint64_t obs;
   ASSERT_TRUE(cluster_->node(1)->bus()->CasU64(nullptr, off + RecordLayout::kLockOff, 0, owner,
@@ -325,12 +330,15 @@ TEST_F(TxnTest, LockConflictOnRemoteCommit) {
   Transaction txn(engine_.get(), ctx);
   txn.Begin();
   Account a{};
+  ASSERT_EQ(txn.Read(accounts_, 1, 1, &a), Status::kOk);
   ASSERT_EQ(txn.Read(accounts_, 1, 16, &a), Status::kOk);
   a.balance = 1;
   ASSERT_EQ(txn.Write(accounts_, 1, 16, &a), Status::kOk);
   EXPECT_EQ(txn.Commit(), Status::kAborted);
   EXPECT_GE(engine_->stats().aborts_lock.load(), 1u);
-  cluster_->node(1)->bus()->CasU64(nullptr, off + RecordLayout::kLockOff, owner, 0, &obs);
+  ASSERT_TRUE(
+      cluster_->node(1)->bus()->CasU64(nullptr, off + RecordLayout::kLockOff, owner, 0, &obs));
+  ExpectNoLocksHeld(cluster_.get(), accounts_, {1, 16});
 }
 
 TEST_F(TxnTest, DanglingLockReleasedWhenOwnerAbsent) {
@@ -359,6 +367,20 @@ TEST_F(TxnTest, DanglingLockReleasedWhenOwnerAbsent) {
   EXPECT_GE(engine.stats().dangling_locks_released.load(), 1u);
   EXPECT_EQ(cluster_->node(1)->bus()->ReadU64(nullptr, off + RecordLayout::kLockOff),
             LockWord::kUnlocked);
+
+  // A local record's dangling lock goes the same way: one loopback CAS
+  // through the NIC, never a CPU CAS (on kHca fabrics a CPU CAS racing an
+  // RDMA CAS on the same lock word is silently lost).
+  const uint64_t local_off = accounts_->hash(0)->Lookup(nullptr, 18);
+  ASSERT_TRUE(cluster_->node(0)->bus()->CasU64(nullptr, local_off + RecordLayout::kLockOff, 0,
+                                               dead_owner, &obs));
+  const sim::RdmaNic* nic = cluster_->node(0)->nic();
+  const uint64_t verbs_before = nic->verbs_issued();
+  txn.Begin();
+  ASSERT_EQ(txn.Read(accounts_, 0, 18, &a), Status::kOk);
+  EXPECT_EQ(nic->verbs_issued(), verbs_before + 1) << "the steal must be one loopback CAS";
+  txn.UserAbort();
+  ExpectNoLocksHeld(cluster_.get(), accounts_, {18, 19});
 }
 
 TEST_F(TxnTest, InsertAndRemoveLocal) {
