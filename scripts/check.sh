@@ -102,12 +102,14 @@ if [[ "$RUN_TSAN" == 1 ]]; then
   # cluster_test and rep_batching_test cover the service threads' doorbell
   # sleep/wake handshake; fallback_test, fused_lock_test and
   # txn_protocol_test cover the commit pipeline's lock guard and its shared
-  # fallback on both lock strategies.
+  # fallback on both lock strategies; fabric_test, fault_test and
+  # virtual_time_test cover the verb admission path every thread shares.
   cmake --build build-tsan -j "$JOBS" --target \
     obs_test obs_harness_test virtual_time_test workload_test torture_test \
-    cluster_test rep_batching_test fallback_test fused_lock_test txn_protocol_test
+    cluster_test rep_batching_test fallback_test fused_lock_test txn_protocol_test \
+    fabric_test fault_test
   ctest --test-dir build-tsan --output-on-failure -j "$JOBS" \
-    -R 'Histogram|ObsRegistry|ObsHarness|VirtualTime|Workload|Node\.|RepBatching|Fallback|FusedLock|FusedInterleave|^TxnTest|LockedReadSet'
+    -R 'Histogram|ObsRegistry|ObsHarness|VirtualTime|Workload|Node\.|RepBatching|Fallback|FusedLock|FusedInterleave|^TxnTest|LockedReadSet|Fabric|FaultPlan|PostedVerb'
   # Sanitized runs are ~10x slower: keep the sweep to one seed per shape.
   DRTMR_TORTURE_SEEDS=1 ctest --test-dir build-tsan --output-on-failure -L stress
 fi

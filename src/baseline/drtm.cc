@@ -433,9 +433,9 @@ bool DrTmEngine::Execute(sim::ThreadContext* ctx, const std::function<bool(txn::
         RecordLayout::SetSeq(a.image.data(), new_seq);
         RecordLayout::SetVersions(a.image.data(), a.table->value_size(), new_seq);
         // Posted write-back: failures surface through the completion fence.
-        (void)nic->WritePosted(ctx, a.node, a.offset + RecordLayout::kSeqOff,
-                               a.image.data() + RecordLayout::kSeqOff,
-                               a.image.size() - RecordLayout::kSeqOff, &completion);
+        (void)nic->Write(ctx, a.node, a.offset + RecordLayout::kSeqOff,
+                         a.image.data() + RecordLayout::kSeqOff,
+                         a.image.size() - RecordLayout::kSeqOff, &completion);
         any = true;
       }
       if (any) {

@@ -169,8 +169,8 @@ class ProtocolAnalyzer {
   void OnVerbInRegion(const sim::ThreadContext* ctx, bool aborted);
   // A mutating verb passed admission; flags it if the issuer's stamped epoch
   // (shadowed from the epoch-word CASes) lags the target's. Deliberately
-  // separate from Fabric::FenceCheck so a verb path that forgot its fence
-  // still trips the analyzer.
+  // separate from the fabric's own fence (RdmaNic::Deliver) so an admission
+  // path that lost its fence still trips the analyzer.
   void OnVerbAdmitted(const sim::MemoryBus* src_bus, const sim::MemoryBus* dst_bus,
                       uint32_t src_node, uint32_t dst_node, bool fencing_enabled);
 

@@ -19,7 +19,7 @@
 //    see the deviation note in DESIGN.md §10). A removed node's word is
 //    deliberately left behind: that is what fences it — the fabric rejects
 //    mutating verbs whose issuer's stamp lags the target's
-//    (Fabric::FenceCheck), so a zombie's lock CAS, log append, and write-back
+//    (RdmaNic::Deliver), so a zombie's lock CAS, log append, and write-back
 //    all bounce off survivors. The stamp is a plain bus CAS, so it also dooms
 //    any HTM commit region that read the word.
 //

@@ -251,9 +251,9 @@ Status MigrationManager::CopyPass(uint32_t partition, uint32_t src, uint32_t dst
       scratch.resize(window_bytes);
       uint64_t completion = 0;
       for (size_t i = e; i < window_end; ++i) {
-        const Status s = nic->ReadPosted(dctx, src, extents[i].off,
-                                         scratch.data() + extents[i].scratch, extents[i].len,
-                                         &completion);
+        const Status s = nic->Read(dctx, src, extents[i].off,
+                                   scratch.data() + extents[i].scratch, extents[i].len,
+                                   &completion);
         if (s != Status::kOk) {
           return s;  // source dead or unreachable — abort the migration
         }

@@ -6,19 +6,6 @@
 #include "src/util/logging.h"
 
 namespace drtmr::sim {
-namespace {
-
-// Conformance check for epoch fencing (analyzer class 5), deliberately placed
-// in each mutating verb *independently* of FenceCheck: a verb path that lost
-// its fence call still trips the analyzer.
-inline void AnalyzerVerbAdmitted(Fabric* fabric, uint32_t src, uint32_t dst) {
-  if (chk::AnalyzerEnabled()) {
-    chk::ProtocolAnalyzer::Global().OnVerbAdmitted(fabric->bus(src), fabric->bus(dst), src, dst,
-                                                   fabric->epoch_fencing());
-  }
-}
-
-}  // namespace
 
 uint32_t Fabric::AddNode(MemoryBus* bus) {
   const uint32_t id = static_cast<uint32_t>(nodes_.size());
@@ -29,8 +16,7 @@ uint32_t Fabric::AddNode(MemoryBus* bus) {
   return id;
 }
 
-bool RdmaNic::ChargeVerb(ThreadContext* ctx, RdmaNic* dst_nic, uint64_t latency_ns,
-                         uint64_t bytes, bool posted, uint64_t* completion_ns) {
+bool RdmaNic::IoAllowed(ThreadContext* ctx) {
   // RTM forbids I/O: a verb issued inside an HTM region aborts the region and
   // the verb itself is not performed (the transaction layer must retry
   // outside, or restructure — which is exactly why DrTM+R's commit phase
@@ -43,141 +29,114 @@ bool RdmaNic::ChargeVerb(ThreadContext* ctx, RdmaNic* dst_nic, uint64_t latency_
     return false;
   }
   verbs_issued_.fetch_add(1, std::memory_order_relaxed);
-  const uint64_t busy = cost_->nic_verb_busy_ns + cost_->TransferNs(bytes);
-  const uint64_t src_start = occupancy_->tx.Reserve(ctx->clock.now_ns(), busy);
-  uint64_t done = src_start + busy;
-  if (dst_nic->occupancy() != occupancy()) {
-    const uint64_t dst_start = dst_nic->occupancy()->rx.Reserve(src_start, busy);
-    done = dst_start + busy;
-  }
-  if (posted) {
-    // Doorbell + WQE construction on the CPU; completion is awaited by Fence.
-    ctx->Charge(kPostCpuNs);
-    if (completion_ns != nullptr && done > *completion_ns) {
-      *completion_ns = done;
-    }
-  } else {
-    ctx->clock.AdvanceTo(done + latency_ns);
-  }
   return true;
+}
+
+uint64_t RdmaNic::ReserveWire(uint64_t now_ns, RdmaNic* dst_nic, uint64_t busy_ns) {
+  const uint64_t src_start = occupancy_->tx.Reserve(now_ns, busy_ns);
+  if (dst_nic->occupancy() == occupancy()) {
+    return src_start + busy_ns;
+  }
+  return dst_nic->occupancy()->rx.Reserve(src_start, busy_ns) + busy_ns;
+}
+
+Status RdmaNic::Issue(ThreadContext* ctx, obs::Verb verb, uint32_t dst, uint64_t bytes,
+                      uint64_t latency_ns, uint64_t* completion_ns, uint64_t timeout_ns) {
+  if (!IoAllowed(ctx)) {
+    return Status::kAborted;
+  }
+  const uint64_t busy = cost_->nic_verb_busy_ns + cost_->TransferNs(bytes);
+  const uint64_t done = ReserveWire(ctx->clock.now_ns(), fabric_->nic(dst), busy);
+  FaultCharge fault;
+  if (completion_ns == nullptr) {
+    ctx->clock.AdvanceTo(done + latency_ns);
+    const Status s = Deliver(ctx, verb, dst, bytes, &fault, timeout_ns);
+    ctx->clock.AdvanceTo(fault.After(ctx->clock.now_ns()));
+    return s;
+  }
+  // Posted: doorbell + WQE construction on the CPU; Fence awaits completion,
+  // which carries this verb's own faults so batched verbs still overlap.
+  ctx->Charge(kPostCpuNs);
+  const Status s = Deliver(ctx, verb, dst, bytes, &fault, timeout_ns);
+  *completion_ns = std::max(*completion_ns, fault.After(done));
+  return s;
+}
+
+Status RdmaNic::Deliver(ThreadContext* ctx, obs::Verb verb, uint32_t dst, uint64_t bytes,
+                        FaultCharge* fault, uint64_t timeout_ns) {
+  obs::CountVerb(verb, node_id_, dst, bytes);
+  if (!fabric_->alive(node_id_) || !fabric_->alive(dst)) {
+    return Status::kUnavailable;
+  }
+  if (const FaultPlan* plan = fabric_->fault_plan(); plan != nullptr) {
+    uint64_t delay_ns = 0;
+    uint64_t stall_until_ns = 0;
+    if (plan->OnVerb(ctx, node_id_, dst, &delay_ns, &stall_until_ns) !=
+        FaultPlan::VerbFate::kDeliver) {
+      return Status::kUnavailable;
+    }
+    const uint64_t now = ctx->clock.now_ns();
+    if (stall_until_ns > now && stall_until_ns - now > timeout_ns) {
+      // The stall outlasts the transport's retry budget: complete with an
+      // error after the timeout instead of waiting the window out.
+      ctx->Charge(timeout_ns);
+      return Status::kUnavailable;
+    }
+    *fault = FaultCharge{stall_until_ns, delay_ns};
+  }
+  if (verb == obs::Verb::kRead) {
+    return Status::kOk;  // READs are never fenced: a fenced node rejoins by reading
+  }
+  if (fabric_->epoch_fencing()) {
+    // Reading the epoch words non-transactionally is HTM-safe: a plain bus
+    // read only dooms regions that *write* the line, and nothing but the
+    // membership stamp ever writes line 0.
+    const uint64_t src_epoch = fabric_->epoch_word(node_id_);
+    const uint64_t dst_epoch = fabric_->epoch_word(dst);
+    if (src_epoch < dst_epoch) {
+      obs::Count(obs::Counter::kFenceRejectedVerb);
+      return Status::kStaleEpoch;
+    }
+  }
+  // Conformance check for epoch fencing (analyzer class 5): the analyzer
+  // re-derives the verdict from the epoch words, so an admission path that
+  // lost the fence above still trips it.
+  if (chk::AnalyzerEnabled()) {
+    chk::ProtocolAnalyzer::Global().OnVerbAdmitted(fabric_->bus(node_id_), fabric_->bus(dst),
+                                                   node_id_, dst, fabric_->epoch_fencing());
+  }
+  return Status::kOk;
 }
 
 void RdmaNic::Fence(ThreadContext* ctx, uint64_t completion_ns, uint64_t latency_ns) {
   ctx->clock.AdvanceTo(completion_ns + latency_ns);
 }
 
-Status RdmaNic::ApplyFaults(ThreadContext* ctx, uint32_t dst, uint64_t* completion_ns) {
-  if (!fabric_->alive(node_id_) || !fabric_->alive(dst)) {
-    return Status::kUnavailable;
+Status RdmaNic::Read(ThreadContext* ctx, uint32_t dst, uint64_t offset, void* buf, size_t len,
+                     uint64_t* completion_ns) {
+  const Status s = Issue(ctx, obs::Verb::kRead, dst, len, cost_->rdma_read_ns, completion_ns);
+  if (s == Status::kOk) {
+    fabric_->bus(dst)->Read(/*ctx=*/nullptr, offset, buf, len);
   }
-  const FaultPlan* plan = fabric_->fault_plan();
-  if (plan == nullptr) {
-    return Status::kOk;
-  }
-  uint64_t extra_ns = 0;
-  uint64_t stall_until_ns = 0;
-  switch (plan->OnVerb(ctx, node_id_, dst, &extra_ns, &stall_until_ns)) {
-    case FaultPlan::VerbFate::kUnreachable:
-    case FaultPlan::VerbFate::kDrop:
-      return Status::kUnavailable;
-    case FaultPlan::VerbFate::kDeliver:
-      break;
-  }
-  if (completion_ns != nullptr) {
-    // Posted verb: its completion slides out; the caller observes the
-    // stall/delay at Fence, so batched verbs still overlap.
-    if (stall_until_ns > *completion_ns) {
-      *completion_ns = stall_until_ns;
-    }
-    *completion_ns += extra_ns;
-  } else {
-    if (stall_until_ns > ctx->clock.now_ns()) {
-      ctx->clock.AdvanceTo(stall_until_ns);
-    }
-    if (extra_ns > 0) {
-      ctx->Charge(extra_ns);
-    }
-  }
-  return Status::kOk;
+  return s;
 }
 
-Status RdmaNic::ApplyFaultsBounded(ThreadContext* ctx, uint32_t dst, uint64_t timeout_ns) {
-  if (!fabric_->alive(node_id_) || !fabric_->alive(dst)) {
-    return Status::kUnavailable;
+Status RdmaNic::ReadTimeout(ThreadContext* ctx, uint32_t dst, uint64_t offset, void* buf,
+                            size_t len, uint64_t timeout_ns) {
+  const Status s =
+      Issue(ctx, obs::Verb::kRead, dst, len, cost_->rdma_read_ns, nullptr, timeout_ns);
+  if (s == Status::kOk) {
+    fabric_->bus(dst)->Read(/*ctx=*/nullptr, offset, buf, len);
   }
-  const FaultPlan* plan = fabric_->fault_plan();
-  if (plan == nullptr) {
-    return Status::kOk;
-  }
-  uint64_t extra_ns = 0;
-  uint64_t stall_until_ns = 0;
-  switch (plan->OnVerb(ctx, node_id_, dst, &extra_ns, &stall_until_ns)) {
-    case FaultPlan::VerbFate::kUnreachable:
-    case FaultPlan::VerbFate::kDrop:
-      return Status::kUnavailable;
-    case FaultPlan::VerbFate::kDeliver:
-      break;
-  }
-  const uint64_t now = ctx->clock.now_ns();
-  if (stall_until_ns > now + timeout_ns) {
-    // The stall outlasts the transport's retry budget: complete with an error
-    // after the timeout instead of waiting the window out.
-    ctx->Charge(timeout_ns);
-    return Status::kUnavailable;
-  }
-  if (stall_until_ns > now) {
-    ctx->clock.AdvanceTo(stall_until_ns);
-  }
-  if (extra_ns > 0) {
-    ctx->Charge(extra_ns);
-  }
-  return Status::kOk;
+  return s;
 }
 
-Status RdmaNic::FenceCheck(uint32_t dst) {
-  if (!fabric_->epoch_fencing()) {
-    return Status::kOk;
-  }
-  // Reading the epoch words non-transactionally is HTM-safe: a plain bus read
-  // only dooms regions that *write* the line, and nothing but the membership
-  // stamp ever writes line 0.
-  const uint64_t src_epoch = fabric_->bus(node_id_)->ReadU64(nullptr, Fabric::kEpochWordOff);
-  const uint64_t dst_epoch = fabric_->bus(dst)->ReadU64(nullptr, Fabric::kEpochWordOff);
-  if (src_epoch < dst_epoch) {
-    obs::Count(obs::Counter::kFenceRejectedVerb);
-    return Status::kStaleEpoch;
-  }
-  return Status::kOk;
-}
-
-Status RdmaNic::ReadPosted(ThreadContext* ctx, uint32_t dst, uint64_t offset, void* buf,
-                           size_t len, uint64_t* completion_ns) {
-  RdmaNic* dst_nic = fabric_->nic(dst);
-  if (!ChargeVerb(ctx, dst_nic, cost_->rdma_read_ns, len, /*posted=*/true, completion_ns)) {
-    return Status::kAborted;
-  }
-  obs::CountVerb(obs::Verb::kRead, node_id_, dst, len);
-  if (Status s = ApplyFaults(ctx, dst, completion_ns); s != Status::kOk) {
+Status RdmaNic::Write(ThreadContext* ctx, uint32_t dst, uint64_t offset, const void* src,
+                      size_t len, uint64_t* completion_ns) {
+  if (Status s = Issue(ctx, obs::Verb::kWrite, dst, len, cost_->rdma_write_ns, completion_ns);
+      s != Status::kOk) {
     return s;
   }
-  fabric_->bus(dst)->Read(/*ctx=*/nullptr, offset, buf, len);
-  return Status::kOk;
-}
-
-Status RdmaNic::WritePosted(ThreadContext* ctx, uint32_t dst, uint64_t offset, const void* src,
-                            size_t len, uint64_t* completion_ns) {
-  RdmaNic* dst_nic = fabric_->nic(dst);
-  if (!ChargeVerb(ctx, dst_nic, cost_->rdma_write_ns, len, /*posted=*/true, completion_ns)) {
-    return Status::kAborted;
-  }
-  obs::CountVerb(obs::Verb::kWrite, node_id_, dst, len);
-  if (Status s = ApplyFaults(ctx, dst, completion_ns); s != Status::kOk) {
-    return s;
-  }
-  if (Status s = FenceCheck(dst); s != Status::kOk) {
-    return s;
-  }
-  AnalyzerVerbAdmitted(fabric_, node_id_, dst);
   // The verb bypasses the remote CPU (ctx == nullptr below); pin the issuing
   // worker's identity so the analyzer can attribute the store.
   chk::ScopedActor actor(node_id_, ctx->worker_id);
@@ -185,31 +144,61 @@ Status RdmaNic::WritePosted(ThreadContext* ctx, uint32_t dst, uint64_t offset, c
   return Status::kOk;
 }
 
+Status RdmaNic::CompareSwap(ThreadContext* ctx, uint32_t dst, uint64_t offset, uint64_t expected,
+                            uint64_t desired, uint64_t* observed, uint64_t* completion_ns) {
+  if (Status s = Issue(ctx, obs::Verb::kCas, dst, sizeof(uint64_t), cost_->rdma_atomic_ns,
+                       completion_ns);
+      s != Status::kOk) {
+    return s;
+  }
+  // Under IBV_ATOMIC_HCA, atomics are serialized by the target HCA rather
+  // than by the host's coherence fabric: a waited CAS reserves the NIC's
+  // atomic unit in virtual time. The actual memory update still goes through
+  // the bus so the simulation stays race-free; see DESIGN.md §6 for the
+  // fidelity note.
+  if (completion_ns == nullptr && fabric_->atomicity() == AtomicityLevel::kHca) {
+    const uint64_t start = fabric_->nic(dst)->atomic_unit_.Reserve(ctx->clock.now_ns(), 1);
+    ctx->clock.AdvanceTo(start + 1);
+  }
+  chk::ScopedActor actor(node_id_, ctx->worker_id);
+  const bool swapped = fabric_->bus(dst)->CasU64(/*ctx=*/nullptr, offset, expected, desired,
+                                                 observed);
+  return swapped ? Status::kOk : Status::kConflict;
+}
+
+Status RdmaNic::FetchAdd(ThreadContext* ctx, uint32_t dst, uint64_t offset, uint64_t delta,
+                         uint64_t* old_value) {
+  if (Status s = Issue(ctx, obs::Verb::kFaa, dst, sizeof(uint64_t), cost_->rdma_atomic_ns,
+                       nullptr);
+      s != Status::kOk) {
+    return s;
+  }
+  chk::ScopedActor actor(node_id_, ctx->worker_id);
+  const uint64_t old = fabric_->bus(dst)->FetchAddU64(/*ctx=*/nullptr, offset, delta);
+  if (old_value != nullptr) {
+    *old_value = old;
+  }
+  return Status::kOk;
+}
+
 Status RdmaNic::ChainAppend(ThreadContext* ctx, VerbChain* chain, uint32_t dst, uint64_t offset,
                             const void* src, size_t len) {
   DRTMR_CHECK(!chain->open() || chain->dst == dst);
-  if (ctx->current_htm != nullptr) {
-    ctx->current_htm->Abort(HtmTxn::AbortCode::kIo);
-    if (chk::AnalyzerEnabled()) {
-      chk::ProtocolAnalyzer::Global().OnVerbInRegion(ctx, /*aborted=*/true);
-    }
+  if (!IoAllowed(ctx)) {
     return Status::kAborted;
   }
   // WQE link: CPU only. Occupancy for the wire work is reserved in one piece
   // by ChainRing, which is the whole point of the batch.
-  verbs_issued_.fetch_add(1, std::memory_order_relaxed);
   ctx->Charge(cost_->chain_wqe_build_ns + cost_->CopyNs(len));
-  obs::CountVerb(obs::Verb::kWrite, node_id_, dst, len);
-  if (Status s = ApplyFaults(ctx, dst, &chain->fault_floor_ns); s != Status::kOk) {
-    return s;
-  }
-  if (Status s = FenceCheck(dst); s != Status::kOk) {
+  FaultCharge fault;
+  if (Status s = Deliver(ctx, obs::Verb::kWrite, dst, len, &fault); s != Status::kOk) {
     return s;
   }
   chain->dst = dst;
   chain->verbs++;
   chain->bytes += len;
-  AnalyzerVerbAdmitted(fabric_, node_id_, dst);
+  chain->fault.stall_until_ns = std::max(chain->fault.stall_until_ns, fault.stall_until_ns);
+  chain->fault.delay_ns = std::max(chain->fault.delay_ns, fault.delay_ns);
   chk::ScopedActor actor(node_id_, ctx->worker_id);
   fabric_->bus(dst)->Write(/*ctx=*/nullptr, offset, src, len);
   // Chains carry log slots and watermarks, which the target's pump consumes.
@@ -221,19 +210,12 @@ void RdmaNic::ChainRing(ThreadContext* ctx, VerbChain* chain, uint64_t* completi
   if (!chain->open()) {
     return;
   }
-  RdmaNic* dst_nic = fabric_->nic(chain->dst);
   const uint64_t busy = cost_->nic_verb_busy_ns +
                         (chain->verbs - 1) * cost_->nic_chained_verb_busy_ns +
                         cost_->TransferNs(chain->bytes);
-  const uint64_t src_start = occupancy_->tx.Reserve(ctx->clock.now_ns(), busy);
-  uint64_t done = src_start + busy;
-  if (dst_nic->occupancy() != occupancy()) {
-    const uint64_t dst_start = dst_nic->occupancy()->rx.Reserve(src_start, busy);
-    done = dst_start + busy;
-  }
-  if (chain->fault_floor_ns > done) {
-    done = chain->fault_floor_ns;
-  }
+  // The chain's WQEs share one wire completion, so their faults overlap too.
+  const uint64_t done =
+      chain->fault.After(ReserveWire(ctx->clock.now_ns(), fabric_->nic(chain->dst), busy));
   ctx->Charge(kPostCpuNs);  // one doorbell for the whole chain
   obs::Count(obs::Counter::kFabricDoorbells);
   obs::Count(obs::Counter::kFabricChainedVerbs, chain->verbs);
@@ -243,139 +225,14 @@ void RdmaNic::ChainRing(ThreadContext* ctx, VerbChain* chain, uint64_t* completi
   *chain = VerbChain{};
 }
 
-Status RdmaNic::CompareSwapPosted(ThreadContext* ctx, uint32_t dst, uint64_t offset,
-                                  uint64_t expected, uint64_t desired, uint64_t* observed,
-                                  uint64_t* completion_ns) {
-  RdmaNic* dst_nic = fabric_->nic(dst);
-  if (!ChargeVerb(ctx, dst_nic, cost_->rdma_atomic_ns, sizeof(uint64_t), /*posted=*/true,
-                  completion_ns)) {
-    return Status::kAborted;
-  }
-  obs::CountVerb(obs::Verb::kCas, node_id_, dst, sizeof(uint64_t));
-  if (Status s = ApplyFaults(ctx, dst, completion_ns); s != Status::kOk) {
-    return s;
-  }
-  if (Status s = FenceCheck(dst); s != Status::kOk) {
-    return s;
-  }
-  AnalyzerVerbAdmitted(fabric_, node_id_, dst);
-  chk::ScopedActor actor(node_id_, ctx->worker_id);
-  const bool swapped = fabric_->bus(dst)->CasU64(/*ctx=*/nullptr, offset, expected, desired,
-                                                 observed);
-  return swapped ? Status::kOk : Status::kConflict;
-}
-
-Status RdmaNic::Read(ThreadContext* ctx, uint32_t dst, uint64_t offset, void* buf, size_t len) {
-  RdmaNic* dst_nic = fabric_->nic(dst);
-  if (!ChargeVerb(ctx, dst_nic, cost_->rdma_read_ns, len)) {
-    return Status::kAborted;
-  }
-  obs::CountVerb(obs::Verb::kRead, node_id_, dst, len);
-  if (Status s = ApplyFaults(ctx, dst); s != Status::kOk) {
-    return s;
-  }
-  fabric_->bus(dst)->Read(/*ctx=*/nullptr, offset, buf, len);
-  return Status::kOk;
-}
-
-Status RdmaNic::ReadTimeout(ThreadContext* ctx, uint32_t dst, uint64_t offset, void* buf,
-                            size_t len, uint64_t timeout_ns) {
-  RdmaNic* dst_nic = fabric_->nic(dst);
-  if (!ChargeVerb(ctx, dst_nic, cost_->rdma_read_ns, len)) {
-    return Status::kAborted;
-  }
-  obs::CountVerb(obs::Verb::kRead, node_id_, dst, len);
-  if (Status s = ApplyFaultsBounded(ctx, dst, timeout_ns); s != Status::kOk) {
-    return s;
-  }
-  fabric_->bus(dst)->Read(/*ctx=*/nullptr, offset, buf, len);
-  return Status::kOk;
-}
-
-Status RdmaNic::Write(ThreadContext* ctx, uint32_t dst, uint64_t offset, const void* src,
-                      size_t len) {
-  RdmaNic* dst_nic = fabric_->nic(dst);
-  if (!ChargeVerb(ctx, dst_nic, cost_->rdma_write_ns, len)) {
-    return Status::kAborted;
-  }
-  obs::CountVerb(obs::Verb::kWrite, node_id_, dst, len);
-  if (Status s = ApplyFaults(ctx, dst); s != Status::kOk) {
-    return s;
-  }
-  if (Status s = FenceCheck(dst); s != Status::kOk) {
-    return s;
-  }
-  AnalyzerVerbAdmitted(fabric_, node_id_, dst);
-  chk::ScopedActor actor(node_id_, ctx->worker_id);
-  fabric_->bus(dst)->Write(/*ctx=*/nullptr, offset, src, len);
-  return Status::kOk;
-}
-
-Status RdmaNic::CompareSwap(ThreadContext* ctx, uint32_t dst, uint64_t offset, uint64_t expected,
-                            uint64_t desired, uint64_t* observed) {
-  RdmaNic* dst_nic = fabric_->nic(dst);
-  if (!ChargeVerb(ctx, dst_nic, cost_->rdma_atomic_ns, sizeof(uint64_t))) {
-    return Status::kAborted;
-  }
-  obs::CountVerb(obs::Verb::kCas, node_id_, dst, sizeof(uint64_t));
-  if (Status s = ApplyFaults(ctx, dst); s != Status::kOk) {
-    return s;
-  }
-  if (Status s = FenceCheck(dst); s != Status::kOk) {
-    return s;
-  }
-  // Under IBV_ATOMIC_HCA, atomics are serialized by the target HCA rather
-  // than by the host's coherence fabric: reserve the NIC's atomic unit in
-  // virtual time. The actual memory update still goes through the bus so the
-  // simulation stays race-free; see DESIGN.md §6 for the fidelity note.
-  if (fabric_->atomicity() == AtomicityLevel::kHca) {
-    const uint64_t start = dst_nic->atomic_unit_.Reserve(ctx->clock.now_ns(), 1);
-    ctx->clock.AdvanceTo(start + 1);
-  }
-  AnalyzerVerbAdmitted(fabric_, node_id_, dst);
-  chk::ScopedActor actor(node_id_, ctx->worker_id);
-  const bool swapped = fabric_->bus(dst)->CasU64(/*ctx=*/nullptr, offset, expected, desired,
-                                                 observed);
-  return swapped ? Status::kOk : Status::kConflict;
-}
-
-Status RdmaNic::FetchAdd(ThreadContext* ctx, uint32_t dst, uint64_t offset, uint64_t delta,
-                         uint64_t* old_value) {
-  RdmaNic* dst_nic = fabric_->nic(dst);
-  if (!ChargeVerb(ctx, dst_nic, cost_->rdma_atomic_ns, sizeof(uint64_t))) {
-    return Status::kAborted;
-  }
-  obs::CountVerb(obs::Verb::kFaa, node_id_, dst, sizeof(uint64_t));
-  if (Status s = ApplyFaults(ctx, dst); s != Status::kOk) {
-    return s;
-  }
-  if (Status s = FenceCheck(dst); s != Status::kOk) {
-    return s;
-  }
-  AnalyzerVerbAdmitted(fabric_, node_id_, dst);
-  chk::ScopedActor actor(node_id_, ctx->worker_id);
-  const uint64_t old = fabric_->bus(dst)->FetchAddU64(/*ctx=*/nullptr, offset, delta);
-  if (old_value != nullptr) {
-    *old_value = old;
-  }
-  return Status::kOk;
-}
-
 Status RdmaNic::Send(ThreadContext* ctx, uint32_t dst, std::vector<std::byte> payload,
                      uint32_t qp) {
   DRTMR_CHECK(qp < kRecvQueues);
+  if (Status s = Issue(ctx, obs::Verb::kSend, dst, payload.size(), cost_->send_recv_ns, nullptr);
+      s != Status::kOk) {
+    return s;
+  }
   RdmaNic* dst_nic = fabric_->nic(dst);
-  if (!ChargeVerb(ctx, dst_nic, cost_->send_recv_ns, payload.size())) {
-    return Status::kAborted;
-  }
-  obs::CountVerb(obs::Verb::kSend, node_id_, dst, payload.size());
-  if (Status s = ApplyFaults(ctx, dst); s != Status::kOk) {
-    return s;
-  }
-  if (Status s = FenceCheck(dst); s != Status::kOk) {
-    return s;
-  }
-  AnalyzerVerbAdmitted(fabric_, node_id_, dst);
   Message m;
   m.src_node = node_id_;
   m.payload = std::move(payload);

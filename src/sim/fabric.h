@@ -23,6 +23,16 @@
 // installed via Fabric::set_fault_plan (see sim/fault.h); every verb consults
 // the plan after charging its cost.
 //
+// Admission: every verb, waited, posted or chained, passes one sequence in
+// this order. (1) The HTM no-I/O rule: inside a region the verb returns
+// kAborted, dooms the region and is not counted. (2) The charge: NIC
+// occupancy, then the caller's clock (waited) or *completion_ns (posted); a
+// chained WQE charges CPU only and its chain books the wire at ChainRing.
+// (3) Liveness and the fault plan: kUnavailable if lost; a stall or injected
+// delay moves this verb's own completion. (4) Mutating verbs only (WRITE,
+// CAS, FAA, SEND, chained WRITE): the epoch fence, kStaleEpoch. Only an
+// admitted verb touches target memory.
+//
 // Service doorbell: each NIC also carries the word its machine's service
 // thread (cluster::Node) sleeps on. Every action that lands work for that
 // thread rings it: a SEND to queue 0 and a log-chain WRITE (ChainAppend)
@@ -31,6 +41,7 @@
 #ifndef DRTMR_SRC_SIM_FABRIC_H_
 #define DRTMR_SRC_SIM_FABRIC_H_
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <deque>
@@ -38,6 +49,7 @@
 #include <mutex>
 #include <vector>
 
+#include "src/obs/metrics.h"
 #include "src/sim/cost_model.h"
 #include "src/sim/fault.h"
 #include "src/sim/memory_bus.h"
@@ -106,12 +118,15 @@ class RdmaNic {
 
   uint32_t node_id() const { return node_id_; }
 
-  // One-sided verbs. All return kUnavailable if the target machine is dead
-  // and kAborted (after dooming the region) if issued inside an HTM region.
-  Status Read(ThreadContext* ctx, uint32_t dst, uint64_t offset, void* buf, size_t len);
-  Status Write(ThreadContext* ctx, uint32_t dst, uint64_t offset, const void* src, size_t len);
+  // One-sided verbs; failures as under "Admission" above. With
+  // `completion_ns` null the caller waits for the verb; non-null posts it
+  // (see "Posted verbs" below).
+  Status Read(ThreadContext* ctx, uint32_t dst, uint64_t offset, void* buf, size_t len,
+              uint64_t* completion_ns = nullptr);
+  Status Write(ThreadContext* ctx, uint32_t dst, uint64_t offset, const void* src, size_t len,
+               uint64_t* completion_ns = nullptr);
   Status CompareSwap(ThreadContext* ctx, uint32_t dst, uint64_t offset, uint64_t expected,
-                     uint64_t desired, uint64_t* observed);
+                     uint64_t desired, uint64_t* observed, uint64_t* completion_ns = nullptr);
   Status FetchAdd(ThreadContext* ctx, uint32_t dst, uint64_t offset, uint64_t delta,
                   uint64_t* old_value);
   // Read with a bounded transport-retry budget: if a partition/freeze window
@@ -123,20 +138,22 @@ class RdmaNic {
   Status ReadTimeout(ThreadContext* ctx, uint32_t dst, uint64_t offset, void* buf, size_t len,
                      uint64_t timeout_ns);
 
-  // Posted (pipelined) variants: multiple verbs are pushed back-to-back and
+  // Posted (pipelined) verbs: multiple verbs are pushed back-to-back and
   // their round-trip latencies overlap, as with real doorbell batching. Each
-  // call reserves NIC occupancy and charges only the CPU posting cost;
-  // `completion_ns` is raised to the verb's simulated completion. Call
-  // Fence() once per batch to wait for the slowest verb (e.g. before
-  // declaring log writes durable, §5.1).
-  Status ReadPosted(ThreadContext* ctx, uint32_t dst, uint64_t offset, void* buf, size_t len,
-                    uint64_t* completion_ns);
-  Status WritePosted(ThreadContext* ctx, uint32_t dst, uint64_t offset, const void* src,
-                     size_t len, uint64_t* completion_ns);
-  Status CompareSwapPosted(ThreadContext* ctx, uint32_t dst, uint64_t offset, uint64_t expected,
-                           uint64_t desired, uint64_t* observed, uint64_t* completion_ns);
-  // Advances the caller past the batch completion plus one verb latency.
+  // reserves NIC occupancy and charges only the CPU posting cost;
+  // `completion_ns` is raised to the verb's simulated completion, injected
+  // faults included. Fence() once per batch waits for the slowest verb (e.g.
+  // before declaring log writes durable, §5.1): it advances the caller past
+  // the batch completion plus one verb latency.
   void Fence(ThreadContext* ctx, uint64_t completion_ns, uint64_t latency_ns);
+
+  // What an installed FaultPlan adds to a delivered verb: a partition stall
+  // until `stall_until_ns`, then `delay_ns` of injected latency.
+  struct FaultCharge {
+    uint64_t stall_until_ns = 0;
+    uint64_t delay_ns = 0;
+    uint64_t After(uint64_t done_ns) const { return std::max(done_ns, stall_until_ns) + delay_ns; }
+  };
 
   // ---- doorbell-batched verb chains ----
   //
@@ -148,16 +165,16 @@ class RdmaNic {
   // the aggregate payload transfer, and raises *completion_ns like the other
   // posted verbs (Fence() once per batch for durability).
   //
-  // Memory effects land at append time, matching WritePosted: in the
+  // Memory effects land at append time, as for a posted Write: in the
   // simulator "posted" verbs take effect at issue and only their virtual-time
   // completion is deferred. The chain is therefore a cost/occupancy batching
   // construct; ordering per target is FIFO by construction (appends apply in
   // program order on the issuing thread).
   struct VerbChain {
     uint32_t dst = 0;
-    uint32_t verbs = 0;         // WQEs linked since the last doorbell
-    uint64_t bytes = 0;         // aggregate payload of those WQEs
-    uint64_t fault_floor_ns = 0;  // injected-fault floor for the chain's completion
+    uint32_t verbs = 0;   // WQEs linked since the last doorbell
+    uint64_t bytes = 0;   // aggregate payload of those WQEs
+    FaultCharge fault;    // latest stall and largest delay among those WQEs
     bool open() const { return verbs > 0; }
   };
 
@@ -202,30 +219,27 @@ class RdmaNic {
  private:
   friend class Fabric;
 
-  // Charges virtual time for a verb of `bytes` payload between this NIC and
-  // `dst_nic`, returning false if the HTM no-I/O rule fired. When `posted`,
-  // only the CPU posting cost is charged and *completion_ns is raised to the
-  // verb's completion; otherwise the caller's clock advances past completion
-  // plus latency.
-  bool ChargeVerb(ThreadContext* ctx, RdmaNic* dst_nic, uint64_t latency_ns, uint64_t bytes,
-                  bool posted = false, uint64_t* completion_ns = nullptr);
+  static constexpr uint64_t kNoTimeout = ~0ull;
 
-  // Liveness check + installed-FaultPlan consultation for one verb to `dst`.
-  // Returns kOk to proceed with the remote access, kUnavailable if the verb
-  // is lost (dead node, permanent partition, drop rule). Injected delays and
-  // partition stalls advance the caller's clock (or raise *completion_ns for
-  // posted verbs) before returning.
-  Status ApplyFaults(ThreadContext* ctx, uint32_t dst, uint64_t* completion_ns = nullptr);
-
-  // ApplyFaults variant with a bounded stall budget (see ReadTimeout): a
-  // partition stall that would exceed now + timeout_ns charges timeout_ns and
-  // returns kUnavailable instead of advancing the clock to the window close.
-  Status ApplyFaultsBounded(ThreadContext* ctx, uint32_t dst, uint64_t timeout_ns);
-
-  // Epoch-fence admission check for a mutating verb (Fabric::kEpochWordOff):
-  // kStaleEpoch if the issuer's stamped epoch lags the target's. Runs at
-  // delivery, after ApplyFaults.
-  Status FenceCheck(uint32_t dst);
+  // The RTM no-I/O rule: inside an HTM region the region is aborted and the
+  // verb is not performed (false); otherwise the verb is counted as issued.
+  bool IoAllowed(ThreadContext* ctx);
+  // Books `busy_ns` on this NIC's transmit engine from `now_ns`, then on
+  // `dst_nic`'s receive engine; returns the wire completion.
+  uint64_t ReserveWire(uint64_t now_ns, RdmaNic* dst_nic, uint64_t busy_ns);
+  // Charges a waited (completion_ns null: the clock passes the completion
+  // plus `latency_ns`) or posted verb of `bytes` payload, then Delivers it.
+  // Any injected fault is applied to the verb's own completion.
+  Status Issue(ThreadContext* ctx, obs::Verb verb, uint32_t dst, uint64_t bytes,
+               uint64_t latency_ns, uint64_t* completion_ns, uint64_t timeout_ns = kNoTimeout);
+  // Admits a charged verb to `dst`: counts it, then returns kUnavailable if
+  // it is lost (dead node, permanent partition, drop rule, or a stall past
+  // `timeout_ns`, after charging the timeout), and for mutating verbs
+  // kStaleEpoch if the issuer's epoch lags the target's. A verb the fault
+  // plan delivers (even one then fenced) leaves its stall and delay in
+  // *fault for the caller to apply to its completion.
+  Status Deliver(ThreadContext* ctx, obs::Verb verb, uint32_t dst, uint64_t bytes,
+                 FaultCharge* fault, uint64_t timeout_ns = kNoTimeout);
 
   Fabric* fabric_;
   uint32_t node_id_;

@@ -307,14 +307,14 @@ void Transaction::Unlock(bool committed) {
   for (size_t i = 0; i < locked_; ++i) {
     const LockTarget& t = targets_[i];
     if (!fused_) {
-      (void)nic->CompareSwapPosted(ctx_, t.node, t.offset + RecordLayout::kLockOff, lock_word_,
-                                   LockWord::kUnlocked, nullptr, &completion);
+      (void)nic->CompareSwap(ctx_, t.node, t.offset + RecordLayout::kLockOff, lock_word_,
+                             LockWord::kUnlocked, nullptr, &completion);
     } else if (!committed || t.ws_index == kReadOnly) {
       // A committed fused write is unlocked by its new seq (C.5 write-back or
       // the fallback's local apply); everything else gets its seq restored.
-      (void)nic->CompareSwapPosted(ctx_, t.node, t.offset + RecordLayout::kSeqOff,
-                                   store::SeqWord::WithLock(t.expected), t.expected, nullptr,
-                                   &completion);
+      (void)nic->CompareSwap(ctx_, t.node, t.offset + RecordLayout::kSeqOff,
+                             store::SeqWord::WithLock(t.expected), t.expected, nullptr,
+                             &completion);
     }
   }
   locked_ = 0;
@@ -348,8 +348,8 @@ Status Transaction::Validate(bool local) {
     const uint64_t off = p.entry->offset + RecordLayout::kIncOff;
     if (local) {
       self_->bus()->Read(ctx_, off, p.meta, sizeof(p.meta));
-    } else if (const Status s = nic->ReadPosted(ctx_, p.entry->node, off, p.meta,
-                                                sizeof(p.meta), &completion);
+    } else if (const Status s =
+                   nic->Read(ctx_, p.entry->node, off, p.meta, sizeof(p.meta), &completion);
                s != Status::kOk) {
       return s;
     }
@@ -610,10 +610,9 @@ Status Transaction::WriteBackRemote() {
     BuildImage(w, final_seq, &image);
     // Posted write-back: failures surface through the completion fence, and a
     // dead target's record is re-hosted from the replication logs anyway.
-    (void)self_->nic()->WritePosted(ctx_, w.access.node,
-                                    w.access.offset + RecordLayout::kSeqOff,
-                                    image.data() + RecordLayout::kSeqOff,
-                                    image.size() - RecordLayout::kSeqOff, &completion);
+    (void)self_->nic()->Write(ctx_, w.access.node, w.access.offset + RecordLayout::kSeqOff,
+                              image.data() + RecordLayout::kSeqOff,
+                              image.size() - RecordLayout::kSeqOff, &completion);
     any = true;
   }
   if (any) {

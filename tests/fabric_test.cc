@@ -3,11 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "src/obs/metrics.h"
 #include "src/sim/cost_model.h"
+#include "src/sim/fault.h"
 #include "src/sim/htm.h"
 #include "src/sim/memory_bus.h"
 #include "src/util/cacheline.h"
@@ -179,6 +182,180 @@ TEST_F(FabricTest, SharedOccupancyForLogicalNodes) {
   ASSERT_EQ(fabric_.nic(0)->Read(&a, 2, 0, &v, sizeof(v)), Status::kOk);
   ASSERT_EQ(fabric_.nic(1)->Read(&b, 2, 64, &v, sizeof(v)), Status::kOk);
   EXPECT_GT(shared.tx.free_at_ns(), 0u);
+}
+
+// ---- admission matrix ----
+//
+// Every verb entry point, waited and posted, passes the same admission
+// sequence: the HTM no-I/O rule, then liveness and the fault plan, then (for
+// mutating verbs only) the epoch fence. Each row issues one verb from node 0.
+class FabricAdmissionTest : public FabricTest {
+ protected:
+  static constexpr uint64_t kOff = 4096;
+  static constexpr uint64_t kValue = 0x5eed;
+  static constexpr uint64_t kBudgetNs = 100'000;
+
+  struct VerbCase {
+    std::string name;
+    bool mutating;
+    std::function<Status(ThreadContext*, uint32_t dst)> issue;
+  };
+
+  FabricAdmissionTest() {
+    obs::Registry::Global().Reset();
+    obs::Registry::Global().Enable(true);
+  }
+  ~FabricAdmissionTest() override {
+    fabric_.set_fault_plan(nullptr);
+    obs::Registry::Global().Enable(false);
+    obs::Registry::Global().Reset();
+  }
+
+  std::vector<VerbCase> Verbs() {
+    RdmaNic* nic = fabric_.nic(0);
+    uint64_t* word = &word_;
+    uint64_t* done = &completion_;
+    RdmaNic::VerbChain* chain = &chain_;
+    const size_t n = sizeof(uint64_t);
+    return {
+        {"Read", false,
+         [=](ThreadContext* c, uint32_t d) { return nic->Read(c, d, kOff, word, n); }},
+        {"Read posted", false,
+         [=](ThreadContext* c, uint32_t d) { return nic->Read(c, d, kOff, word, n, done); }},
+        {"ReadTimeout", false,
+         [=](ThreadContext* c, uint32_t d) {
+           return nic->ReadTimeout(c, d, kOff, word, n, kBudgetNs);
+         }},
+        {"Write", true,
+         [=](ThreadContext* c, uint32_t d) { return nic->Write(c, d, kOff, &kValue, n); }},
+        {"Write posted", true,
+         [=](ThreadContext* c, uint32_t d) { return nic->Write(c, d, kOff, &kValue, n, done); }},
+        {"CompareSwap", true,
+         [=](ThreadContext* c, uint32_t d) {
+           return nic->CompareSwap(c, d, kOff, 0, kValue, word);
+         }},
+        {"CompareSwap posted", true,
+         [=](ThreadContext* c, uint32_t d) {
+           return nic->CompareSwap(c, d, kOff, 0, kValue, word, done);
+         }},
+        {"FetchAdd", true,
+         [=](ThreadContext* c, uint32_t d) { return nic->FetchAdd(c, d, kOff, kValue, word); }},
+        {"Send", true,
+         [=](ThreadContext* c, uint32_t d) { return nic->Send(c, d, std::vector<std::byte>(n)); }},
+        {"ChainAppend", true,
+         [=](ThreadContext* c, uint32_t d) {
+           return nic->ChainAppend(c, chain, d, kOff, &kValue, n);
+         }},
+    };
+  }
+
+  // Nothing reached node 1: its word is untouched, no WQE was linked and no
+  // message was queued.
+  void ExpectTargetUntouched() {
+    EXPECT_EQ(buses_[1]->ReadU64(nullptr, kOff), 0u);
+    EXPECT_FALSE(chain_.open());
+    Message m;
+    EXPECT_FALSE(fabric_.nic(1)->TryRecv(nullptr, &m));
+  }
+
+  static obs::Snapshot Counts() { return obs::Registry::Global().Collect(); }
+
+  uint64_t word_ = 0;
+  uint64_t completion_ = 0;
+  RdmaNic::VerbChain chain_;
+};
+
+TEST_F(FabricAdmissionTest, InsideHtmRegionEveryVerbAbortsTheRegionUncounted) {
+  for (const VerbCase& v : Verbs()) {
+    SCOPED_TRACE(v.name);
+    ThreadContext ctx(0, 0, 1);
+    HtmTxn* txn = engines_[0]->Begin(&ctx);
+    uint64_t w;
+    ASSERT_EQ(txn->ReadU64(64, &w), Status::kOk);
+    EXPECT_EQ(v.issue(&ctx, 1), Status::kAborted);
+    EXPECT_EQ(txn->abort_code(), HtmTxn::AbortCode::kIo);
+    EXPECT_EQ(ctx.current_htm, nullptr);
+  }
+  ExpectTargetUntouched();
+  EXPECT_EQ(fabric_.nic(0)->verbs_issued(), 0u);
+  EXPECT_EQ(Counts().FabricOps(), 0u);
+}
+
+TEST_F(FabricAdmissionTest, DeadTargetAndDropRuleRefuseEveryVerb) {
+  ThreadContext ctx(0, 0, 1);
+  const std::vector<VerbCase> verbs = Verbs();
+  fabric_.Kill(1);
+  for (const VerbCase& v : verbs) {
+    SCOPED_TRACE(v.name + " to a dead target");
+    EXPECT_EQ(v.issue(&ctx, 1), Status::kUnavailable);
+  }
+  fabric_.Revive(1);
+  FaultPlan plan(1);
+  plan.DropVerbs(0, 1, {0, 0}, FaultPlan::kPpmAlways);
+  fabric_.set_fault_plan(&plan);
+  for (const VerbCase& v : verbs) {
+    SCOPED_TRACE(v.name + " under a drop rule");
+    EXPECT_EQ(v.issue(&ctx, 1), Status::kUnavailable);
+  }
+  ExpectTargetUntouched();
+  // A lost verb was still issued and put on the wire: it counts once.
+  EXPECT_EQ(fabric_.nic(0)->verbs_issued(), 2 * verbs.size());
+  EXPECT_EQ(Counts().FabricOps(), 2 * verbs.size());
+}
+
+TEST_F(FabricAdmissionTest, EpochFenceRefusesEveryMutatingVerbAndAdmitsReads) {
+  ThreadContext ctx(0, 0, 1);
+  fabric_.set_epoch_fencing(true);
+  buses_[1]->WriteU64(nullptr, Fabric::kEpochWordOff, 5);  // node 0 lags at epoch 0
+  uint64_t mutating = 0;
+  for (const VerbCase& v : Verbs()) {
+    SCOPED_TRACE(v.name);
+    EXPECT_EQ(v.issue(&ctx, 1), v.mutating ? Status::kStaleEpoch : Status::kOk);
+    mutating += v.mutating ? 1 : 0;
+  }
+  ExpectTargetUntouched();
+  EXPECT_EQ(Counts().counter(obs::Counter::kFenceRejectedVerb), mutating);
+  // The refused WQE left the chain valid: once the issuer catches up with the
+  // target's epoch, the same chain links, rings and lands.
+  buses_[0]->WriteU64(nullptr, Fabric::kEpochWordOff, 5);
+  ASSERT_EQ(fabric_.nic(0)->ChainAppend(&ctx, &chain_, 1, kOff, &kValue, sizeof(kValue)),
+            Status::kOk);
+  fabric_.nic(0)->ChainRing(&ctx, &chain_, &completion_);
+  EXPECT_EQ(buses_[1]->ReadU64(nullptr, kOff), kValue);
+}
+
+TEST_F(FabricAdmissionTest, ReadTimeoutPastItsBudgetChargesExactlyTheBudget) {
+  FaultPlan plan(1);
+  plan.Partition(0, 1, {0, 1'000'000});
+  fabric_.set_fault_plan(&plan);
+  ThreadContext ctx(0, 0, 1);
+  const uint64_t wire_ns =
+      cost_.nic_verb_busy_ns + cost_.TransferNs(sizeof(uint64_t)) + cost_.rdma_read_ns;
+  EXPECT_EQ(fabric_.nic(0)->ReadTimeout(&ctx, 1, kOff, &word_, sizeof(word_), kBudgetNs),
+            Status::kUnavailable);
+  EXPECT_EQ(ctx.clock.now_ns(), wire_ns + kBudgetNs);
+  // Within its budget the read waits the window out and completes.
+  EXPECT_EQ(fabric_.nic(0)->ReadTimeout(&ctx, 1, kOff, &word_, sizeof(word_), 10 * 1'000'000),
+            Status::kOk);
+  EXPECT_EQ(ctx.clock.now_ns(), 1'000'000u);
+}
+
+TEST_F(FabricAdmissionTest, EveryAdmittedVerbCountsOnce) {
+  ThreadContext ctx(0, 0, 1);
+  const std::vector<VerbCase> verbs = Verbs();
+  for (const VerbCase& v : verbs) {
+    SCOPED_TRACE(v.name);
+    const Status s = v.issue(&ctx, 1);
+    EXPECT_TRUE(s == Status::kOk || s == Status::kConflict);  // a CAS may miss
+  }
+  fabric_.nic(0)->ChainRing(&ctx, &chain_, &completion_);
+  Message m;
+  EXPECT_TRUE(fabric_.nic(1)->TryRecv(nullptr, &m));
+  EXPECT_EQ(fabric_.nic(0)->verbs_issued(), verbs.size());
+  const obs::Snapshot snap = Counts();
+  EXPECT_EQ(snap.FabricOps(), verbs.size());
+  EXPECT_EQ(snap.counter(obs::Counter::kFabricDoorbells), 1u);
+  EXPECT_EQ(snap.counter(obs::Counter::kFabricChainedVerbs), 1u);
 }
 
 }  // namespace

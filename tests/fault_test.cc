@@ -6,6 +6,7 @@
 #include "src/cluster/node.h"
 #include "src/sim/fabric.h"
 #include "src/sim/fault.h"
+#include "src/util/cacheline.h"
 
 namespace drtmr::sim {
 namespace {
@@ -153,6 +154,53 @@ TEST_F(FaultPlanTest, FabricRefusesVerbsToKilledNode) {
   EXPECT_EQ(cluster_->node(0)->nic()->Read(ctx_, 1, 0, &word, sizeof(word)),
             Status::kUnavailable);
   EXPECT_EQ(cluster_->node(0)->nic()->Read(ctx_, 2, 0, &word, sizeof(word)), Status::kOk);
+  cluster_->SetFaultPlan(nullptr);
+}
+
+TEST_F(FaultPlanTest, PostedBatchPaysInjectedDelayOnce) {
+  // Posted verbs overlap their round trips, so a delay on each verb of a
+  // batch delays the batch's completion once, not once per verb.
+  FaultPlan plan(1);
+  plan.DelayVerbs(0, 1, {0, 0}, /*extra_ns=*/10'000);
+  cluster_->SetFaultPlan(&plan);
+  RdmaNic* nic = cluster_->node(0)->nic();
+  auto batch_ns = [&](uint32_t dst, uint64_t at_ns) {
+    ctx_->clock.AdvanceTo(at_ns);
+    uint64_t completion = 0;
+    uint64_t word = 0;
+    for (int i = 0; i < 4; ++i) {
+      EXPECT_EQ(nic->Read(ctx_, dst, 64 * i, &word, sizeof(word), &completion), Status::kOk);
+    }
+    return completion - at_ns;
+  };
+  const uint64_t delayed = batch_ns(1, 1'000'000);
+  const uint64_t clean = batch_ns(2, 2'000'000);  // no rule covers node 2
+  EXPECT_EQ(delayed, clean + 10'000);
+  cluster_->SetFaultPlan(nullptr);
+}
+
+TEST_F(FaultPlanTest, ChainPaysInjectedDelayAtAnyClock) {
+  // A delay rule delays a chain's completion relative to when it is rung,
+  // whatever the clock reads: the delay is a duration, not a floor.
+  FaultPlan plan(1);
+  plan.DelayVerbs(0, 1, {0, 0}, /*extra_ns=*/10'000);
+  cluster_->SetFaultPlan(&plan);
+  RdmaNic* nic = cluster_->node(0)->nic();
+  auto chain_ns = [&](uint32_t dst, uint64_t at_ns) {
+    const uint64_t off = cluster_->node(dst)->allocator()->Alloc(2 * kCacheLineSize);
+    ctx_->clock.AdvanceTo(at_ns);
+    RdmaNic::VerbChain chain;
+    const uint64_t v = 7;
+    EXPECT_EQ(nic->ChainAppend(ctx_, &chain, dst, off, &v, sizeof(v)), Status::kOk);
+    EXPECT_EQ(nic->ChainAppend(ctx_, &chain, dst, off + kCacheLineSize, &v, sizeof(v)),
+              Status::kOk);
+    uint64_t completion = 0;
+    nic->ChainRing(ctx_, &chain, &completion);
+    return completion - at_ns;
+  };
+  const uint64_t delayed = chain_ns(1, 1'000'000);
+  const uint64_t clean = chain_ns(2, 2'000'000);
+  EXPECT_EQ(delayed, clean + 10'000);
   cluster_->SetFaultPlan(nullptr);
 }
 

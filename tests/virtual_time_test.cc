@@ -112,7 +112,7 @@ TEST_F(PostedVerbTest, BatchedWritesOverlapLatency) {
   uint64_t completion = 0;
   uint64_t v = 7;
   for (int i = 0; i < 10; ++i) {
-    ASSERT_EQ(fabric_.nic(0)->WritePosted(&posted_ctx, 1, 64 * i, &v, sizeof(v), &completion),
+    ASSERT_EQ(fabric_.nic(0)->Write(&posted_ctx, 1, 64 * i, &v, sizeof(v), &completion),
               Status::kOk);
   }
   fabric_.nic(0)->Fence(&posted_ctx, completion, cost_.rdma_write_ns);
@@ -132,7 +132,7 @@ TEST_F(PostedVerbTest, FenceCoversSlowestCompletion) {
   sim::ThreadContext ctx(0, 0, 1);
   uint64_t completion = 0;
   std::vector<std::byte> big(32 * 1024);
-  ASSERT_EQ(fabric_.nic(0)->WritePosted(&ctx, 1, 0, big.data(), big.size(), &completion),
+  ASSERT_EQ(fabric_.nic(0)->Write(&ctx, 1, 0, big.data(), big.size(), &completion),
             Status::kOk);
   EXPECT_GT(completion, cost_.TransferNs(big.size()) / 2);
   const uint64_t before = ctx.clock.now_ns();
@@ -146,11 +146,11 @@ TEST_F(PostedVerbTest, PostedCasPerformsSwap) {
   buses_[1]->WriteU64(nullptr, 128, 5);
   uint64_t completion = 0;
   uint64_t obs = 0;
-  EXPECT_EQ(fabric_.nic(0)->CompareSwapPosted(&ctx, 1, 128, 5, 9, &obs, &completion),
+  EXPECT_EQ(fabric_.nic(0)->CompareSwap(&ctx, 1, 128, 5, 9, &obs, &completion),
             Status::kOk);
   EXPECT_EQ(obs, 5u);
   EXPECT_EQ(buses_[1]->ReadU64(nullptr, 128), 9u);
-  EXPECT_EQ(fabric_.nic(0)->CompareSwapPosted(&ctx, 1, 128, 5, 11, &obs, &completion),
+  EXPECT_EQ(fabric_.nic(0)->CompareSwap(&ctx, 1, 128, 5, 11, &obs, &completion),
             Status::kConflict);
 }
 
@@ -161,7 +161,7 @@ TEST_F(PostedVerbTest, PostedVerbInsideHtmStillAborts) {
   uint64_t v;
   ASSERT_EQ(txn->ReadU64(0, &v), Status::kOk);
   uint64_t completion = 0;
-  EXPECT_EQ(fabric_.nic(0)->WritePosted(&ctx, 1, 0, &v, sizeof(v), &completion),
+  EXPECT_EQ(fabric_.nic(0)->Write(&ctx, 1, 0, &v, sizeof(v), &completion),
             Status::kAborted);
   EXPECT_EQ(ctx.current_htm, nullptr);
 }
