@@ -1,6 +1,7 @@
 // Calibration tool: runs TPC-C on DrTM+R with explicit knobs, printing
-// throughput plus protocol statistics. Used to attribute costs when tuning
-// the virtual-time model (see EXPERIMENTS.md).
+// throughput plus the --print-stats protocol summary, which it always turns
+// on. Used to attribute costs when tuning the virtual-time model (see
+// EXPERIMENTS.md).
 //
 // Usage: calibrate [machines] [threads] [cross_no_pct] [cross_pay_pct] [rep:0|1]
 #include <cstdlib>
@@ -11,6 +12,11 @@
 
 int main(int argc, char** argv) {
   using namespace drtmr::bench;
+  std::vector<char*> args(argv, argv + argc);
+  char print_stats[] = "--print-stats";
+  args.push_back(print_stats);
+  argc = static_cast<int>(args.size());
+  argv = args.data();
   return RunMain(argc, argv, {"calibrate", "tpcc"}, [](int argc, char** argv) {
     // Positional knobs; --flags are consumed by the harness.
     std::vector<const char*> pos;
@@ -26,7 +32,6 @@ int main(int argc, char** argv) {
     cfg.cross_pay_pct = pos.size() > 3 ? static_cast<uint32_t>(std::atoi(pos[3])) : 15;
     cfg.replication = pos.size() > 4 && std::atoi(pos[4]) != 0;
     cfg.txns_per_thread = 300;
-    cfg.print_stats = true;
     RunInfo& info = MutableRunInfo();
     info.machines = cfg.machines;
     info.threads = cfg.threads;

@@ -86,20 +86,6 @@ DriverOptions MakeOptions(uint32_t threads, uint64_t txns, uint64_t warmup) {
   return opt;
 }
 
-void PrintEngineStats(const txn::TxnStats& st, const sim::HtmEngine::Stats& htm) {
-  std::printf(
-      "stats: commits=%llu aborts_lock=%llu aborts_validation=%llu user=%llu fallbacks=%llu "
-      "htm_retries=%llu remote_reads=%llu local_reads=%llu htm[commits=%llu conflict=%llu "
-      "capacity=%llu explicit=%llu io=%llu]\n",
-      (unsigned long long)st.commits, (unsigned long long)st.aborts_lock,
-      (unsigned long long)st.aborts_validation, (unsigned long long)st.aborts_user,
-      (unsigned long long)st.fallbacks, (unsigned long long)st.htm_commit_retries,
-      (unsigned long long)st.remote_reads, (unsigned long long)st.local_reads,
-      (unsigned long long)htm.commits, (unsigned long long)htm.aborts_conflict,
-      (unsigned long long)htm.aborts_capacity, (unsigned long long)htm.aborts_explicit,
-      (unsigned long long)htm.aborts_io);
-}
-
 RunInfo g_run_info;
 
 // Escapes `s` minimally for embedding in a JSON string literal.
@@ -178,15 +164,10 @@ DriverResult RunTpccDrtmR(const TpccBenchConfig& cfg) {
     rep::PrimaryBackupReplicator* rep = stack.replicator.get();
     opt.worker_done = [rep](sim::ThreadContext* ctx) { rep->FlushLog(ctx); };
   }
-  DriverResult r = RunWorkload(stack.cluster.get(), opt,
-                               [&](sim::ThreadContext* ctx, uint32_t n, uint32_t w,
-                                   FastRand* rng) {
-                                 return stack.tpcc->RunOne(ctx, by_slot[n * cfg.threads + w], rng);
-                               });
-  if (cfg.print_stats) {
-    PrintEngineStats(stack.engine->stats(), stack.cluster->node(0)->htm()->stats());
-  }
-  return r;
+  return RunWorkload(stack.cluster.get(), opt,
+                     [&](sim::ThreadContext* ctx, uint32_t n, uint32_t w, FastRand* rng) {
+                       return stack.tpcc->RunOne(ctx, by_slot[n * cfg.threads + w], rng);
+                     });
 }
 
 DriverResult RunTpccDrTm(const TpccBenchConfig& cfg) {
@@ -306,7 +287,6 @@ SmallBankStack::~SmallBankStack() { engine->StopServices(); }
 
 DriverResult SmallBankStack::Run(const SmallBankBenchConfig& cfg) {
   DriverOptions opt;
-  opt.nodes = cfg.load_nodes;
   opt.threads_per_node = cfg.threads;
   opt.txns_per_thread = cfg.txns_per_thread;
   opt.warmup_per_thread = cfg.warmup_per_thread;
@@ -323,11 +303,7 @@ DriverResult SmallBankStack::Run(const SmallBankBenchConfig& cfg) {
 
 DriverResult RunSmallBankDrtmR(const SmallBankBenchConfig& cfg) {
   SmallBankStack stack(cfg);
-  DriverResult r = stack.Run(cfg);
-  if (cfg.print_stats) {
-    PrintEngineStats(stack.engine->stats(), stack.cluster->node(0)->htm()->stats());
-  }
-  return r;
+  return stack.Run(cfg);
 }
 
 void SetRunInfo(const RunInfo& info) { g_run_info = info; }

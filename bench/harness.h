@@ -46,8 +46,6 @@ struct TpccBenchConfig {
   // Replication group-commit window (rep::RepConfig::group_commit_window):
   // decisions per worker lane between durability fences. 1 = fence per txn.
   uint32_t group_commit_window = 8;
-  // Diagnostics: print engine statistics (aborts, fallbacks) after the run.
-  bool print_stats = false;
 };
 
 struct SmallBankBenchConfig {
@@ -66,16 +64,10 @@ struct SmallBankBenchConfig {
   bool fused_seq_lock = true;
   // Replication group-commit window; 1 = fence per txn.
   uint32_t group_commit_window = 8;
-  // Diagnostics: print engine statistics (aborts, fallbacks) after the run.
-  bool print_stats = false;
-  // Elasticity hooks (the suite's "elastic" entry). load_nodes restricts the
-  // driver's load threads to the first N nodes (0 = all machines) so a
-  // 6-machine cluster can run a 3-node placement without starving
-  // PickLocalPartition. pre_load runs after the partition map is created and
-  // before the workload loads, so it can re-shape the initial placement
-  // (e.g. fold partitions 3-5 onto nodes 0-2) and the loader seeds records
-  // at the re-shaped homes.
-  uint32_t load_nodes = 0;
+  // Elasticity hook (the suite's "elastic" entry): runs after the partition
+  // map is created and before the workload loads, so it can re-shape the
+  // initial placement (e.g. fold partitions 3-5 onto nodes 0-2) and the
+  // loader seeds records at the re-shaped homes.
   std::function<void(cluster::PartitionMap*)> pre_load;
 };
 

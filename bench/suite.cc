@@ -418,6 +418,9 @@ std::vector<SuiteEntryResult> RunSuite(const SuiteOptions& opt) {
       constexpr int kReps = 3;
       std::vector<Results> reps;
       for (int rep = 0; rep < kReps; ++rep) {
+        // Smoke reps are deterministic: a recorder kept across reps would hold
+        // the same slow transaction once per rep. Keep the last rep's.
+        obs::FlightRecorder::Global().Reset();
         Results one;
         if (name == "smallbank_peak") {
           MutableRunInfo().workload = "smallbank";

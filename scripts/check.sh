@@ -5,7 +5,7 @@
 #   stress — seed-scalable torture sweeps (DRTMR_TORTURE_SEEDS widens them)
 #   rep    — the replication battery (`ctest --test-dir build -L rep`)
 #
-# Usage: scripts/check.sh [fast|full] [--no-tsan] [--no-asan] [--no-ubsan]
+# Usage: scripts/check.sh [fast|full|tsan] [--no-tsan] [--no-asan] [--no-ubsan]
 #
 #   fast (default) — build + `ctest -L tier1 -LE slow`: the inner-loop cycle,
 #                    a couple of minutes.
@@ -15,6 +15,8 @@
 #                    a widened torture sweep (protocol analyzer on) +
 #                    ThreadSanitizer, AddressSanitizer and UBSanitizer passes
 #                    over the stress-labeled targets with a small seed budget.
+#   tsan           — only the ThreadSanitizer pass of `full` (its own
+#                    build-tsan tree); CI's tsan job runs exactly this.
 #
 # A failing randomized test prints its DRTMR_TEST_SEED; reproduce with
 #   DRTMR_TEST_SEED=<seed> ctest --test-dir build -R <test> --output-on-failure
@@ -28,13 +30,43 @@ RUN_ASAN=1
 RUN_UBSAN=1
 for arg in "$@"; do
   case "$arg" in
-    fast|full) CYCLE="$arg" ;;
+    fast|full|tsan) CYCLE="$arg" ;;
     --no-tsan) RUN_TSAN=0 ;;
     --no-asan) RUN_ASAN=0 ;;
     --no-ubsan) RUN_UBSAN=0 ;;
-    *) echo "usage: scripts/check.sh [fast|full] [--no-tsan] [--no-asan] [--no-ubsan]" >&2; exit 2 ;;
+    *) echo "usage: scripts/check.sh [fast|full|tsan] [--no-tsan] [--no-asan] [--no-ubsan]" >&2; exit 2 ;;
   esac
 done
+
+run_tsan() {
+  echo "== tsan: stress + concurrency tests under ThreadSanitizer =="
+  cmake -B build-tsan -S . \
+    -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+    -DCMAKE_CXX_FLAGS="-fsanitize=thread -g" \
+    -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread"
+  # The obs, virtual-time (SimResourceBackfill, TimeGate, PostedVerb) and
+  # workload suites cover the shared registry and clocks; cluster_test
+  # (Node.*) and rep_batching_test the service threads' doorbell sleep/wake
+  # handshake; fallback_test, fused_lock_test and txn_protocol_test the
+  # commit pipeline's lock guard and its shared fallback on both lock
+  # strategies; fabric_test and fault_test the verb admission path every
+  # thread shares; torture_test and protocol_analyzer_test the
+  # analyzer-enabled torture seeds.
+  cmake --build build-tsan -j "$JOBS" --target \
+    obs_test obs_harness_test virtual_time_test workload_test torture_test \
+    protocol_analyzer_test cluster_test rep_batching_test fallback_test fused_lock_test \
+    txn_protocol_test fabric_test fault_test
+  ctest --test-dir build-tsan --output-on-failure -j "$JOBS" \
+    -R 'Histogram|ObsRegistry|ObsHarness|SimResourceBackfill|TimeGate|Workload|ProtocolAnalyzer|Node\.|RepBatching|Fallback|FusedLock|FusedInterleave|^TxnTest|LockedReadSet|Fabric|FaultPlan|PostedVerb'
+  # Sanitized runs are ~10x slower: keep the sweep to one seed per shape.
+  DRTMR_TORTURE_SEEDS=1 ctest --test-dir build-tsan --output-on-failure -j "$JOBS" -L stress
+}
+
+if [[ "$CYCLE" == tsan ]]; then
+  run_tsan
+  echo "== tsan cycle passed =="
+  exit 0
+fi
 
 echo "== build =="
 cmake -B build -S .
@@ -94,24 +126,7 @@ echo "== full cycle: group-commit torture sweep (32 seeds, window=8) =="
   --shapes=3x2x3 --no-shrink
 
 if [[ "$RUN_TSAN" == 1 ]]; then
-  echo "== tsan: stress + concurrency tests under ThreadSanitizer =="
-  cmake -B build-tsan -S . \
-    -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-    -DCMAKE_CXX_FLAGS="-fsanitize=thread -g" \
-    -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread"
-  # cluster_test and rep_batching_test cover the service threads' doorbell
-  # sleep/wake handshake; fallback_test, fused_lock_test and
-  # txn_protocol_test cover the commit pipeline's lock guard and its shared
-  # fallback on both lock strategies; fabric_test, fault_test and
-  # virtual_time_test cover the verb admission path every thread shares.
-  cmake --build build-tsan -j "$JOBS" --target \
-    obs_test obs_harness_test virtual_time_test workload_test torture_test \
-    cluster_test rep_batching_test fallback_test fused_lock_test txn_protocol_test \
-    fabric_test fault_test
-  ctest --test-dir build-tsan --output-on-failure -j "$JOBS" \
-    -R 'Histogram|ObsRegistry|ObsHarness|VirtualTime|Workload|Node\.|RepBatching|Fallback|FusedLock|FusedInterleave|^TxnTest|LockedReadSet|Fabric|FaultPlan|PostedVerb'
-  # Sanitized runs are ~10x slower: keep the sweep to one seed per shape.
-  DRTMR_TORTURE_SEEDS=1 ctest --test-dir build-tsan --output-on-failure -L stress
+  run_tsan
 fi
 
 if [[ "$RUN_ASAN" == 1 ]]; then

@@ -253,6 +253,9 @@ using drtm_internal::RemoteAccess;
 using store::LockWord;
 using store::RecordLayout;
 
+// Reconnaissance restarts before Execute gives up.
+constexpr uint32_t kMaxAttempts = 200000;
+
 bool DrTmEngine::Execute(sim::ThreadContext* ctx, const std::function<bool(txn::TxnApi*)>& body) {
   cluster::Cluster* cluster = base_->cluster();
   cluster::Node* self = cluster->node(ctx->node_id);
@@ -265,7 +268,7 @@ bool DrTmEngine::Execute(sim::ThreadContext* ctx, const std::function<bool(txn::
     auto operator<=>(const Target&) const = default;
   };
 
-  for (uint32_t attempt = 0; attempt < config_.max_attempts; ++attempt) {
+  for (uint32_t attempt = 0; attempt < kMaxAttempts; ++attempt) {
     cluster->SyncGate(&ctx->clock);
     // Pass 1: reconnaissance (models chopping's a-priori knowledge; free).
     RecordingTxn rec(this, ctx);

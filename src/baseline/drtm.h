@@ -34,7 +34,6 @@ namespace drtmr::baseline {
 
 struct DrTmConfig {
   uint32_t htm_retry_threshold = 8;
-  uint32_t max_attempts = 200000;  // reconnaissance restarts before giving up
 };
 
 class DrTmEngine {

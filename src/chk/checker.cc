@@ -9,6 +9,13 @@ namespace drtmr::chk {
 
 namespace {
 
+// Records are installed at seq 2 by store inserts/loaders, so an observed
+// version <= 2 with no recorded writer is the pre-history seed state, not a
+// violation; every committed write installs a version > 2.
+constexpr uint64_t kSeedVersionMax = 2;
+// Cap on recorded violation messages.
+constexpr size_t kMaxViolations = 20;
+
 struct PerKey {
   // (version, txn index); writers carry final installed versions, readers the
   // normalized observed version.
@@ -16,9 +23,9 @@ struct PerKey {
   std::vector<std::pair<uint64_t, size_t>> readers;
 };
 
-void AddViolation(CheckResult* res, const CheckOptions& opts, std::string msg) {
+void AddViolation(CheckResult* res, std::string msg) {
   res->ok = false;
-  if (res->violations.size() < opts.max_violations) {
+  if (res->violations.size() < kMaxViolations) {
     res->violations.push_back(std::move(msg));
   }
 }
@@ -68,7 +75,7 @@ CheckResult CheckSerializability(const std::vector<TxnRec>& history, const Check
     // lost update regardless of history completeness.
     for (size_t w = 0; w + 1 < pk.writers.size(); ++w) {
       if (pk.writers[w].first == pk.writers[w + 1].first) {
-        AddViolation(&res, opts,
+        AddViolation(&res,
                      Fmt("lost update: table %u key %llu version %llu installed by two "
                          "transactions (ids %llu and %llu)",
                          table, key, pk.writers[w].first, history[pk.writers[w].second].txn_id,
@@ -81,7 +88,7 @@ CheckResult CheckSerializability(const std::vector<TxnRec>& history, const Check
         const uint64_t cur = pk.writers[w].first;
         const uint64_t nxt = pk.writers[w + 1].first;
         if (nxt != cur && nxt != cur + opts.version_step) {
-          AddViolation(&res, opts,
+          AddViolation(&res,
                        Fmt("write gap: table %u key %llu jumps from version %llu to %llu "
                            "(a committed write is missing)",
                            table, key, cur, nxt));
@@ -101,9 +108,9 @@ CheckResult CheckSerializability(const std::vector<TxnRec>& history, const Check
       auto it = std::lower_bound(pk.writers.begin(), pk.writers.end(),
                                  std::make_pair(version, size_t{0}));
       const bool known = it != pk.writers.end() && it->first == version;
-      if (!known && version > opts.seed_version_max) {
+      if (!known && version > kSeedVersionMax) {
         if (opts.expect_complete) {
-          AddViolation(&res, opts,
+          AddViolation(&res,
                        Fmt("dirty/lost read: table %u key %llu version %llu observed by txn "
                            "%llu but never installed by a committed write",
                            table, key, version, history[reader].txn_id));
@@ -172,7 +179,7 @@ CheckResult CheckSerializability(const std::vector<TxnRec>& history, const Check
                       path.size(), static_cast<unsigned long long>(history[path[0]].txn_id),
                       history[path[0]].node, history[path[0]].worker,
                       static_cast<unsigned long long>(history[path[0]].commit_ns));
-        AddViolation(&res, opts, buf);
+        AddViolation(&res, buf);
       }
     }
   }

@@ -35,15 +35,10 @@ struct CheckOptions {
   // Seq distance between consecutive versions of one record:
   // SeqRules::RemoteCommitSeq step — 2 with replication, 1 without.
   uint64_t version_step = 2;
-  // Records are installed at seq 2 by store inserts/loaders, so an observed
-  // version <= 2 with no recorded writer is the pre-history seed state, not a
-  // violation; every committed write installs a version > 2.
-  uint64_t seed_version_max = 2;
   // When false (a node was killed mid-run, so its latest commits may be
   // missing from the history), unknown read versions and write-chain gaps are
   // tolerated; cycles and duplicate versions are always failures.
   bool expect_complete = true;
-  size_t max_violations = 20;  // cap on recorded messages
 };
 
 struct CheckResult {

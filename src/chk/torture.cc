@@ -47,6 +47,13 @@ constexpr int64_t kInitialBalance = 1000;
 // relative to one transfer's virtual cost (a few microseconds).
 constexpr uint64_t kKillMarginNs = 40'000;
 
+// Window of the no-oracle layer's TimeGate. It must stay below the commit
+// guard so a straggler's commit-entry clock cannot sit far enough behind the
+// driver's to outrun an expired lease.
+constexpr uint64_t kGateWindowNs = 8'000;
+static_assert(kGateWindowNs < cluster::kCommitGuardNs,
+              "a straggler could commit past its expired lease");
+
 uint64_t KeyOf(uint32_t part, uint64_t i) {
   return (static_cast<uint64_t>(part) << 16) | (i + 1);
 }
@@ -278,10 +285,7 @@ TortureResult RunTorture(const TortureOptions& opt) {
   }
 
   // --- no-oracle failover layer ---
-  // The gate window must stay below MembershipConfig::commit_guard_ns (12us)
-  // so a straggler's commit-entry clock cannot sit far enough behind the
-  // driver's to outrun an expired lease (membership.h).
-  TimeGate gate(/*window_ns=*/8'000);
+  TimeGate gate(kGateWindowNs);
   std::vector<uint32_t> worker_gate(nodes * shape.workers, 0);
   std::vector<uint32_t> auditor_gate(nodes, 0);
   std::unique_ptr<rep::RecoveryManager> auto_rm;

@@ -8,6 +8,26 @@
 
 namespace drtmr::cluster {
 
+namespace {
+
+// Period of each node's heartbeat and of the reconfiguration driver's tick.
+constexpr uint64_t kHeartbeatNs = 5'000;
+constexpr uint64_t kDriverTickNs = 2'000;
+// Transport-retry budget for one heartbeat probe (RdmaNic::ReadTimeout): a
+// probe into a freeze/partition window gives up after this long instead of
+// stalling until the window closes, so a healthy node probing a frozen peer
+// loses a bounded slice of its own lease and moves on to the next member.
+// heartbeat + (nodes - 1) * probe must stay below the lease, or a
+// cluster-wide fault makes healthy nodes suspect themselves (checked at
+// construction).
+constexpr uint64_t kProbeTimeoutNs = 6'000;
+// Survivors may steal a lease-expired owner's dangling locks only this long
+// (virtual) after the expired deadline, bounding the race with a suspected
+// owner's in-flight unlock.
+constexpr uint64_t kStealGraceNs = 10'000;
+
+}  // namespace
+
 MembershipService::MembershipService(Cluster* cluster, Coordinator* coordinator,
                                      PartitionMap* pmap, const MembershipConfig& config)
     : cluster_(cluster),
@@ -19,6 +39,8 @@ MembershipService::MembershipService(Cluster* cluster, Coordinator* coordinator,
       lease_deadline_(cluster->num_nodes()),
       pending_recovery_(cluster->num_nodes()) {
   const uint32_t n = cluster_->num_nodes();
+  DRTMR_CHECK(kHeartbeatNs + (n - 1) * kProbeTimeoutNs < config_.lease_ns)
+      << "a " << n << "-node heartbeat round outlasts the " << config_.lease_ns << " ns lease";
   hb_ctx_.reserve(n);
   for (uint32_t i = 0; i < n; ++i) {
     // Private contexts on label-only worker slots past the node's real ones.
@@ -45,14 +67,9 @@ uint64_t MembershipService::NodeEpoch(uint32_t node) {
   return cluster_->fabric()->bus(node)->ReadU64(nullptr, sim::Fabric::kEpochWordOff);
 }
 
-bool MembershipService::CommitAllowed(uint32_t node, uint64_t now_ns, uint64_t begin_epoch) {
-  if (degraded(node)) {
-    return false;
-  }
-  if (now_ns + config_.commit_guard_ns > lease_deadline_ns(node)) {
-    return false;
-  }
-  return NodeEpoch(node) == begin_epoch;
+bool MembershipService::LeaseAndEpochValid(uint32_t node, uint64_t now_ns,
+                                           uint64_t begin_epoch) {
+  return now_ns + kCommitGuardNs <= lease_deadline_ns(node) && NodeEpoch(node) == begin_epoch;
 }
 
 void MembershipService::StampEpoch(uint32_t node, uint64_t epoch) {
@@ -94,7 +111,7 @@ void MembershipService::Arm() {
   }
   armed_ = true;
   cluster_->fabric()->set_epoch_fencing(true);
-  coordinator_->set_steal_grace(config_.steal_grace_ns);
+  coordinator_->set_steal_grace(kStealGraceNs);
   const ClusterView v = coordinator_->view();
   last_epoch_ = v.epoch;
   last_members_ = v.members;
@@ -176,7 +193,7 @@ void MembershipService::TickHeartbeat(uint32_t node) {
 void MembershipService::TickDriver() { DriverOnce(driver_ctx_.get()); }
 
 void MembershipService::HeartbeatOnce(uint32_t node, sim::ThreadContext* ctx) {
-  ctx->Charge(config_.heartbeat_ns);
+  ctx->Charge(kHeartbeatNs);
   const ClusterView v = coordinator_->view();
 
   // Connectivity probe: RDMA READ of a member's registered epoch word (READs
@@ -196,7 +213,7 @@ void MembershipService::HeartbeatOnce(uint32_t node, sim::ThreadContext* ctx) {
     }
     uint64_t word = 0;
     if (nic->ReadTimeout(ctx, m, sim::Fabric::kEpochWordOff, &word, sizeof(word),
-                         config_.probe_timeout_ns) == Status::kOk) {
+                         kProbeTimeoutNs) == Status::kOk) {
       reached = true;
       observed_epoch = word;
       break;
@@ -210,7 +227,7 @@ void MembershipService::HeartbeatOnce(uint32_t node, sim::ThreadContext* ctx) {
     // connectivity against zero probe targets and rejoin.
     uint64_t word = 0;
     if (nic->ReadTimeout(ctx, node, sim::Fabric::kEpochWordOff, &word, sizeof(word),
-                         config_.probe_timeout_ns) == Status::kOk) {
+                         kProbeTimeoutNs) == Status::kOk) {
       reached = true;
       observed_epoch = word;
     }
@@ -253,7 +270,7 @@ void MembershipService::HeartbeatOnce(uint32_t node, sim::ThreadContext* ctx) {
 }
 
 void MembershipService::DriverOnce(sim::ThreadContext* ctx) {
-  ctx->Charge(config_.driver_tick_ns);
+  ctx->Charge(kDriverTickNs);
   coordinator_->Reconfigure(ctx->clock.now_ns(), nullptr);
   const ClusterView v = coordinator_->view();
   if (v.epoch != last_epoch_) {

@@ -62,25 +62,13 @@ struct MembershipConfig {
   // lease > heartbeat period + gate window + slack (so healthy nodes are
   // never suspected).
   uint64_t lease_ns = 25'000;
-  uint64_t heartbeat_ns = 5'000;
-  uint64_t driver_tick_ns = 2'000;
-  // Transport-retry budget for one heartbeat probe (RdmaNic::ReadTimeout): a
-  // probe into a freeze/partition window gives up after this long instead of
-  // stalling until the window closes, so a healthy node probing a frozen peer
-  // loses a bounded slice of its own lease and moves on to the next member.
-  // Must satisfy heartbeat_ns + (nodes - 1) * probe_timeout_ns < lease_ns or
-  // a cluster-wide fault makes healthy nodes suspect themselves.
-  uint64_t probe_timeout_ns = 6'000;
-  // Added to a committer's clock when checking its lease at commit entry;
-  // must exceed the TimeGate window so that once a node's lease expires, no
-  // straggler commit (at most a window behind) can still pass the check.
-  uint64_t commit_guard_ns = 12'000;
-  // Survivors may steal a lease-expired owner's dangling locks only this long
-  // (virtual) after the expired deadline, bounding the race with a suspected
-  // owner's in-flight unlock.
-  uint64_t steal_grace_ns = 10'000;
   uint64_t seed = 1;
 };
+
+// Added to a committer's clock when checking its lease at commit entry; must
+// exceed the TimeGate window so that once a node's lease expires, no
+// straggler commit (at most a window behind) can still pass the check.
+inline constexpr uint64_t kCommitGuardNs = 12'000;
 
 class MembershipService {
  public:
@@ -128,12 +116,14 @@ class MembershipService {
   uint64_t lease_deadline_ns(uint32_t node) const {
     return lease_deadline_[node].load(std::memory_order_acquire);
   }
-  // Full commit-entry admission check (DESIGN.md §10): not degraded, lease
-  // valid beyond the commit guard, and the stamped epoch still equals the
-  // transaction's begin epoch.
-  bool CommitAllowed(uint32_t node, uint64_t now_ns, uint64_t begin_epoch);
-
-  const MembershipConfig& config() const { return config_; }
+  // The lease is valid beyond the commit guard and the stamped epoch still
+  // equals the transaction's begin epoch: the check a read-only snapshot
+  // needs (DESIGN.md §10).
+  bool LeaseAndEpochValid(uint32_t node, uint64_t now_ns, uint64_t begin_epoch);
+  // Full commit-entry admission check: not degraded, plus LeaseAndEpochValid.
+  bool CommitAllowed(uint32_t node, uint64_t now_ns, uint64_t begin_epoch) {
+    return !degraded(node) && LeaseAndEpochValid(node, now_ns, begin_epoch);
+  }
 
   // ---- counters (also mirrored into obs) ----
   uint64_t suspicions() const { return suspicions_.load(std::memory_order_relaxed); }

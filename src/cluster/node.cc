@@ -4,11 +4,19 @@
 
 namespace drtmr::cluster {
 
+namespace {
+
+// HTM capacity of the paper's Haswell testbed, in cache lines.
+constexpr uint32_t kHtmReadLines = 1024;  // lines trackable in the read set
+constexpr uint32_t kHtmWriteLines = 512;  // 32KB L1 / 64B lines
+
+}  // namespace
+
 Node::Node(uint32_t id, size_t memory_bytes, size_t log_bytes, const sim::CostModel* cost,
-           uint32_t slots, const sim::HtmConfig& htm_cfg)
+           uint32_t slots)
     : id_(id),
-      bus_(std::make_unique<sim::MemoryBus>(memory_bytes, cost, slots, htm_cfg.read_lines_cap,
-                                            htm_cfg.write_lines_cap)),
+      bus_(std::make_unique<sim::MemoryBus>(memory_bytes, cost, slots, kHtmReadLines,
+                                            kHtmWriteLines)),
       htm_(std::make_unique<sim::HtmEngine>(bus_.get(), cost)),
       log_begin_(memory_bytes - log_bytes),
       log_size_(log_bytes) {
@@ -85,8 +93,8 @@ void Node::StopService() {
 }
 
 Cluster::Cluster(const ClusterConfig& config) : config_(config) {
-  fabric_ = std::make_unique<sim::Fabric>(&config_.cost, config_.atomicity);
-  const uint32_t slots = config_.workers_per_node + config_.aux_threads + 1;
+  fabric_ = std::make_unique<sim::Fabric>(&cost_, config_.atomicity);
+  const uint32_t slots = config_.workers_per_node + kAuxThreads + 1;
   const uint32_t machines =
       (config_.num_nodes + config_.logical_per_machine - 1) / config_.logical_per_machine;
   machine_nics_.reserve(machines);
@@ -94,8 +102,8 @@ Cluster::Cluster(const ClusterConfig& config) : config_(config) {
     machine_nics_.push_back(std::make_unique<sim::RdmaNic::Occupancy>());
   }
   for (uint32_t i = 0; i < config_.num_nodes; ++i) {
-    auto node = std::make_unique<Node>(i, config_.memory_bytes, config_.log_bytes, &config_.cost,
-                                       slots, config_.htm);
+    auto node =
+        std::make_unique<Node>(i, config_.memory_bytes, config_.log_bytes, &cost_, slots);
     const uint32_t nid = fabric_->AddNode(node->bus());
     DRTMR_CHECK(nid == i);
     sim::RdmaNic* nic = fabric_->nic(i);

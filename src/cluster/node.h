@@ -24,7 +24,7 @@ class Node {
  public:
   // `slots` = worker threads + auxiliary threads that may run HTM regions.
   Node(uint32_t id, size_t memory_bytes, size_t log_bytes, const sim::CostModel* cost,
-       uint32_t slots, const sim::HtmConfig& htm_cfg);
+       uint32_t slots);
   Node(const Node&) = delete;
   Node& operator=(const Node&) = delete;
   ~Node();
@@ -98,19 +98,20 @@ class Node {
   std::thread service_thread_;
 };
 
+// Auxiliary threads per node: the service thread that runs insert/delete
+// RPCs and the backup log pump. Each node has worker slots, then these, then
+// one spare tool slot.
+inline constexpr uint32_t kAuxThreads = 1;
+
 struct ClusterConfig {
   uint32_t num_nodes = 2;
   uint32_t workers_per_node = 4;
-  uint32_t aux_threads = 1;
-  uint32_t replicas = 1;  // f+1 copies per record; 1 disables replication
   size_t memory_bytes = 48ull << 20;
   size_t log_bytes = 8ull << 20;
   // Logical nodes per physical machine (Fig. 12); logical nodes on the same
   // machine share one physical NIC's occupancy.
   uint32_t logical_per_machine = 1;
-  sim::CostModel cost;
   sim::AtomicityLevel atomicity = sim::AtomicityLevel::kHca;
-  sim::HtmConfig htm;
 };
 
 // Builds N nodes wired to one fabric. Owns everything.
@@ -123,7 +124,7 @@ class Cluster {
   uint32_t num_nodes() const { return static_cast<uint32_t>(nodes_.size()); }
   Node* node(uint32_t id) { return nodes_[id].get(); }
   sim::Fabric* fabric() { return fabric_.get(); }
-  const sim::CostModel* cost() const { return &config_.cost; }
+  const sim::CostModel* cost() const { return &cost_; }
 
   // Fail-stop a machine: unreachable on the fabric, worker loops told to exit.
   void Kill(uint32_t id);
@@ -156,6 +157,8 @@ class Cluster {
 
  private:
   ClusterConfig config_;
+  // The testbed's cost model (sim/cost_model.h), shared by every node.
+  const sim::CostModel cost_{};
   std::atomic<TimeGate*> time_gate_{nullptr};
   std::unique_ptr<sim::Fabric> fabric_;
   std::vector<std::unique_ptr<Node>> nodes_;

@@ -30,7 +30,6 @@
 #include <string>
 #include <vector>
 
-#include "src/obs/trace.h"
 #include "src/util/histogram.h"
 
 namespace drtmr::obs {
@@ -52,6 +51,32 @@ enum class Phase : uint32_t {
 };
 inline constexpr size_t kNumPhases = static_cast<size_t>(Phase::kCount);
 const char* PhaseName(Phase p);
+
+// Transaction-lifecycle trace event names. A phase span carries its Phase
+// value (TraceNameOf) and is named by PhaseName; these names follow the phases.
+enum class TraceName : uint8_t {
+  kTxn = kNumPhases,  // whole read-write transaction attempt (Begin -> Commit result)
+  kTxnReadOnly,       // whole read-only transaction attempt
+  kHtmAbort,          // instant: one HTM abort (arg = abort code)
+};
+inline TraceName TraceNameOf(Phase p) { return static_cast<TraceName>(p); }
+const char* TraceNameString(TraceName name);
+
+// One trace event. Each Registry shard owns a bounded ring of them (single
+// writer — the owning worker thread); the Chrome trace_event exporter walks
+// every ring at quiescence and emits a JSON array loadable by
+// chrome://tracing / Perfetto. Timestamps are *virtual* nanoseconds from the
+// per-thread SimClock, so a trace shows the simulated schedule, not host
+// wall-clock.
+struct TraceEvent {
+  uint64_t ts_ns = 0;   // virtual-time start
+  uint64_t dur_ns = 0;  // 0 for instant events
+  uint64_t arg = 0;     // txn id, abort code, ... (meaning depends on name)
+  uint16_t node = 0;    // Chrome "pid"
+  uint16_t worker = 0;  // Chrome "tid"
+  TraceName name = TraceName::kTxn;
+  uint8_t instant = 0;  // 1 => "ph":"i", else "ph":"X"
+};
 
 // Scalar counters mirrored from the transaction/replication layers so a
 // metrics snapshot is self-contained.

@@ -33,24 +33,10 @@ class PhaseTimer {
     Registry& reg = Registry::Global();
     reg.AddPhase(phase_, end_ns - start_ns_);
     if (TraceEnabled()) {
-      reg.AddTrace(TraceNameForPhase(phase_), ctx_->node_id, ctx_->worker_id, start_ns_,
+      reg.AddTrace(TraceNameOf(phase_), ctx_->node_id, ctx_->worker_id, start_ns_,
                    end_ns - start_ns_, 0);
     }
     ctx_ = nullptr;
-  }
-
-  static TraceName TraceNameForPhase(Phase p) {
-    switch (p) {
-      case Phase::kExecution: return TraceName::kExecution;
-      case Phase::kLock: return TraceName::kLock;
-      case Phase::kValidation: return TraceName::kValidation;
-      case Phase::kHtmCommit: return TraceName::kHtmCommit;
-      case Phase::kReplication: return TraceName::kReplication;
-      case Phase::kWriteBack: return TraceName::kWriteBack;
-      case Phase::kFallback: return TraceName::kFallback;
-      case Phase::kCount: break;
-    }
-    return TraceName::kExecution;
   }
 
  private:

@@ -1,9 +1,8 @@
-#include "src/obs/trace.h"
+// Chrome trace_event export of the registry's trace rings (metrics.h).
+#include "src/obs/metrics.h"
 
 #include <algorithm>
 #include <vector>
-
-#include "src/obs/metrics.h"
 
 namespace drtmr::obs {
 
@@ -11,17 +10,9 @@ const char* TraceNameString(TraceName name) {
   switch (name) {
     case TraceName::kTxn: return "txn";
     case TraceName::kTxnReadOnly: return "txn_ro";
-    case TraceName::kExecution: return "execution";
-    case TraceName::kLock: return "lock";
-    case TraceName::kValidation: return "validation";
-    case TraceName::kHtmCommit: return "htm_commit";
-    case TraceName::kReplication: return "replication";
-    case TraceName::kWriteBack: return "write_back";
-    case TraceName::kFallback: return "fallback";
     case TraceName::kHtmAbort: return "htm_abort";
-    case TraceName::kCount: break;
   }
-  return "?";
+  return PhaseName(static_cast<Phase>(name));
 }
 
 void Registry::WriteChromeTrace(std::FILE* f) const {

@@ -16,6 +16,20 @@ using store::LockWord;
 using store::RecordLayout;
 using store::SeqWord;
 
+namespace {
+
+// Transport-retry budget per copy READ (RdmaNic::ReadTimeout).
+constexpr uint64_t kCopyReadTimeoutNs = 20'000;
+// Consistency retries per record before a pass skips it (the next pass
+// re-covers it; the final pass fails the migration instead of skipping).
+constexpr uint32_t kCopyRetries = 32;
+// Bulk passes before cutting over regardless of delta size.
+constexpr uint32_t kMaxBulkPasses = 8;
+// Delta (records refreshed in a pass) below which the pump cuts over.
+constexpr uint64_t kCutoverDelta = 64;
+
+}  // namespace
+
 MigrationManager::MigrationManager(txn::TxnEngine* engine, PrimaryBackupReplicator* replicator,
                                    cluster::Coordinator* coordinator,
                                    cluster::PartitionMap* pmap, MigrationSpec spec)
@@ -289,9 +303,9 @@ Status MigrationManager::CopyPass(uint32_t partition, uint32_t src, uint32_t dst
       }
       util::Backoff backoff = util::Backoff::Exponential(200, 800, /*max_shift=*/6);
       bool clean = false;
-      for (uint32_t attempt = 0; attempt <= spec_.copy_retry_limit; ++attempt) {
+      for (uint32_t attempt = 0; attempt <= kCopyRetries; ++attempt) {
         const Status s = nic->ReadTimeout(dctx, src, off, image.data(), rec_bytes,
-                                          spec_.copy_read_timeout_ns);
+                                          kCopyReadTimeoutNs);
         if (s == Status::kUnavailable) {
           return s;  // source dead or unreachable — abort the migration
         }
@@ -388,7 +402,7 @@ MigrationReport MigrationManager::MigratePartition(uint32_t partition, uint32_t 
 
   // Phase 1: bulk copy + delta chase, source still committing.
   uint64_t refreshed = 0;
-  for (uint32_t pass = 0; pass < spec_.max_bulk_passes; ++pass) {
+  for (uint32_t pass = 0; pass < kMaxBulkPasses; ++pass) {
     ++r.bulk_passes;
     const Status s = CopyPass(partition, src, dst, /*final_pass=*/false, &refreshed);
     r.records_copied += refreshed;
@@ -396,7 +410,7 @@ MigrationReport MigrationManager::MigratePartition(uint32_t partition, uint32_t 
       Rollback(partition, &r, s);
       return r;
     }
-    if (refreshed <= spec_.cutover_delta) {
+    if (refreshed <= kCutoverDelta) {
       break;  // delta small enough to close under the drain window
     }
   }

@@ -59,16 +59,6 @@ struct MigrationSpec {
   std::vector<store::Table*> tables;
   // Maps a key to its partition (the workload's sharding function).
   std::function<uint32_t(uint64_t key)> partition_of;
-
-  // Transport-retry budget per copy READ (RdmaNic::ReadTimeout).
-  uint64_t copy_read_timeout_ns = 20'000;
-  // Consistency retries per record before a pass skips it (the next pass
-  // re-covers it; the final pass fails the migration instead of skipping).
-  uint32_t copy_retry_limit = 32;
-  // Bulk passes before cutting over regardless of delta size.
-  uint32_t max_bulk_passes = 8;
-  // Delta (records refreshed in a pass) below which the pump cuts over.
-  uint64_t cutover_delta = 64;
   uint64_t seed = 1;
 };
 

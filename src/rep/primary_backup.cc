@@ -10,6 +10,13 @@
 
 namespace drtmr::rep {
 
+namespace {
+
+// Largest record image a log slot carries; bounds the slot size.
+constexpr uint64_t kMaxRecordBytes = 512;
+
+}  // namespace
+
 PrimaryBackupReplicator::PrimaryBackupReplicator(cluster::Cluster* cluster,
                                                  const RepConfig& config)
     : cluster_(cluster), config_(config), num_nodes_(cluster->num_nodes()) {
@@ -36,7 +43,7 @@ PrimaryBackupReplicator::PrimaryBackupReplicator(cluster::Cluster* cluster,
 RingGeometry PrimaryBackupReplicator::Ring(uint32_t lane) const {
   const cluster::Node* n0 = const_cast<cluster::Cluster*>(cluster_)->node(0);
   return RingGeometry::For(n0->log_begin(), n0->log_size(), num_lanes_, lane,
-                           config_.max_record_bytes);
+                           kMaxRecordBytes);
 }
 
 Status PrimaryBackupReplicator::PushSlot(sim::ThreadContext* ctx, LaneState& lane, uint32_t dst,
@@ -170,7 +177,7 @@ Status PrimaryBackupReplicator::StageUpdate(sim::ThreadContext* ctx, uint64_t tx
                                             uint64_t record_offset, const std::byte* image,
                                             size_t image_len) {
   DRTMR_CHECK(image_len + sizeof(LogSlotHeader) <=
-              AlignUpToLine(sizeof(LogSlotHeader) + config_.max_record_bytes))
+              AlignUpToLine(sizeof(LogSlotHeader) + kMaxRecordBytes))
       << "record too large for the log slot size";
   const uint32_t src = ctx->node_id;
   LaneState& lane = Lane(ctx);
@@ -376,11 +383,6 @@ void PrimaryBackupReplicator::FlushLog(sim::ThreadContext* ctx) {
   if (lane.window_txns > 0 || open_chain) {
     FlushWindow(ctx, lane);
   }
-}
-
-void PrimaryBackupReplicator::EndTransaction(sim::ThreadContext* ctx, uint64_t txn_id) {
-  // Truncation is continuous (consumption); the explicit end marker of the
-  // paper maps to the consumed-counter advancing past the txn's slots.
 }
 
 bool PrimaryBackupReplicator::PumpRing(sim::ThreadContext* ctx, uint32_t node, uint32_t lane,

@@ -27,8 +27,7 @@
 namespace drtmr::rep {
 
 struct RepConfig {
-  uint32_t replicas = 3;            // f+1 copies including the primary
-  uint64_t max_record_bytes = 512;  // bounds the log slot size
+  uint32_t replicas = 3;  // f+1 copies including the primary
   // Group commit: number of commit/abort decisions one worker lane closes
   // before ringing its chains and paying one durability fence for all of
   // them. 1 = fence every transaction (the paper's per-txn R.1 durability).
@@ -61,7 +60,6 @@ class PrimaryBackupReplicator : public txn::Replicator {
   Status CommitTxnLog(sim::ThreadContext* ctx, uint64_t txn_id) override;
   void AbortTxnLog(sim::ThreadContext* ctx, uint64_t txn_id) override;
   void FlushLog(sim::ThreadContext* ctx) override;
-  void EndTransaction(sim::ThreadContext* ctx, uint64_t txn_id) override;
   bool Pump(sim::ThreadContext* ctx) override;
 
   // Seeds backup copies at load time (initial data placement provides f+1

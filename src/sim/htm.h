@@ -31,12 +31,6 @@
 namespace drtmr::sim {
 
 class FaultPlan;
-
-struct HtmConfig {
-  uint32_t read_lines_cap = 1024;  // lines trackable in the read set
-  uint32_t write_lines_cap = 512;  // 32KB L1 / 64B lines
-};
-
 class HtmEngine;
 
 class HtmTxn {

@@ -58,10 +58,6 @@ class Replicator {
   // before parking a worker) so no decided transaction is left unfenced.
   virtual void FlushLog(sim::ThreadContext* ctx) = 0;
 
-  // Marks the transaction fully committed so backups may truncate its log
-  // entries (done by auxiliary threads, §5.1).
-  virtual void EndTransaction(sim::ThreadContext* ctx, uint64_t txn_id) = 0;
-
   // Auxiliary-thread hook: consume pending log entries addressed to this
   // node, applying them to the backup copies and truncating the rings. Wired
   // into each node's service loop (§7.1: "auxiliary threads for log

@@ -15,6 +15,19 @@ namespace drtmr::txn {
 using store::LockWord;
 using store::RecordLayout;
 
+namespace {
+
+// Bounded retry for the C.1 remote-lock CAS (DESIGN.md §10): a CAS that keeps
+// observing a dangling lock (owner absent from the configuration) releases it
+// and retries at most this many times, with jittered exponential backoff
+// between attempts, before surfacing kTimeout. Live conflicts still abort
+// immediately (the paper's no-wait rule).
+constexpr uint32_t kLockRetries = 6;
+constexpr uint64_t kLockBackoffBaseNs = 200;
+constexpr uint64_t kLockBackoffCapNs = 12'800;
+
+}  // namespace
+
 Transaction::Transaction(TxnEngine* engine, sim::ThreadContext* ctx)
     : engine_(engine),
       ctx_(ctx),
@@ -262,9 +275,8 @@ Status Transaction::LockOne(const LockTarget& t) {
   // racing to steal the same dead owner's locks spread out instead of
   // spinning forever (DESIGN.md §10).
   const TxnConfig& cfg = engine_->config();
-  util::Backoff backoff = util::Backoff::Exponential(
-      cfg.lock_backoff_base_ns, cfg.lock_backoff_base_ns * 2,
-      /*max_shift=*/16, cfg.lock_backoff_cap_ns);
+  util::Backoff backoff = util::Backoff::Exponential(kLockBackoffBaseNs, kLockBackoffBaseNs * 2,
+                                                     /*max_shift=*/16, kLockBackoffCapNs);
   while (true) {
     uint64_t observed = 0;
     const Status s = nic->CompareSwap(ctx_, t.node, t.offset + RecordLayout::kLockOff,
@@ -275,7 +287,7 @@ Status Transaction::LockOne(const LockTarget& t) {
     if (s != Status::kConflict) {
       return s;
     }
-    if (backoff.attempts() >= cfg.lock_retry_threshold && engine_->OwnerAbsent(ctx_, observed)) {
+    if (backoff.attempts() >= kLockRetries && engine_->OwnerAbsent(ctx_, observed)) {
       return Status::kTimeout;
     }
     // §5.2: a crashed owner's dangling lock is released and the CAS retried.
@@ -324,13 +336,15 @@ Status Transaction::Validate(bool local) {
   // Two-verb C.2 (remote records) and the fallback's check of local ones:
   // every read-set entry still carries its observed incarnation and seq, and
   // every written record is committable (Table 4), its current seq becoming
-  // the base for the increments. Remote metadata READs are posted
-  // back-to-back (their latencies overlap) and one fence awaits the batch.
-  sim::RdmaNic* nic = self_->nic();
+  // the base for the increments. A lock held by another transaction fails
+  // the check even at an unchanged seq: its committer may not have written
+  // the record back yet. Our own C.1 and fallback locks pass. Remote
+  // metadata READs are posted back-to-back (their latencies overlap) and one
+  // fence awaits the batch.
   struct Pending {
     const AccessEntry* entry;
     size_t ws_index;
-    uint64_t meta[2];  // incarnation, seq
+    TxnEngine::RecordMeta meta;
   };
   std::vector<Pending> pending;
   for (const AccessEntry& e : read_set_) {
@@ -345,34 +359,33 @@ Status Transaction::Validate(bool local) {
   }
   uint64_t completion = 0;
   for (Pending& p : pending) {
-    const uint64_t off = p.entry->offset + RecordLayout::kIncOff;
     if (local) {
-      self_->bus()->Read(ctx_, off, p.meta, sizeof(p.meta));
-    } else if (const Status s =
-                   nic->Read(ctx_, p.entry->node, off, p.meta, sizeof(p.meta), &completion);
+      engine_->ReadMetaLocal(ctx_, *p.entry, &p.meta);
+    } else if (const Status s = engine_->ReadMetaRemote(ctx_, *p.entry, &p.meta, &completion);
                s != Status::kOk) {
       return s;
     }
   }
   if (!local && !pending.empty()) {
-    nic->Fence(ctx_, completion, engine_->cost()->rdma_read_ns);
+    self_->nic()->Fence(ctx_, completion, engine_->cost()->rdma_read_ns);
     if (engine_->config().message_passing_commit) {
       ctx_->Charge(engine_->cost()->send_recv_ns * pending.size());
     }
   }
   for (const Pending& p : pending) {
-    if (p.meta[0] != p.entry->incarnation) {
+    if ((LockWord::IsLocked(p.meta.lock) && p.meta.lock != lock_word_) ||
+        p.meta.inc != p.entry->incarnation) {
       return Status::kConflict;
     }
     if (p.ws_index == kReadOnly) {
-      if (!rules_.ReadValid(p.entry->seq, p.meta[1])) {
+      if (!rules_.ReadValid(p.entry->seq, p.meta.seq)) {
         return Status::kConflict;
       }
     } else {
-      if (!rules_.WriteValid(p.meta[1])) {
+      if (!rules_.WriteValid(p.meta.seq)) {
         return Status::kConflict;
       }
-      commit_seq_[p.ws_index] = p.meta[1];
+      commit_seq_[p.ws_index] = p.meta.seq;
     }
   }
   return Status::kOk;
@@ -635,13 +648,9 @@ Status Transaction::CommitReadOnly() {
   // vouch for its local copies — a thawed zombie's clock sits past its stale
   // deadline deterministically). Reads themselves stay allowed in degraded
   // mode; only the serializable-snapshot claim is refused.
-  if (engine_->fencing()) {
-    const auto& mcfg = engine_->membership()->config();
-    if (engine_->membership()->NodeEpoch(ctx_->node_id) != begin_epoch_ ||
-        ctx_->clock.now_ns() + mcfg.commit_guard_ns >
-            engine_->membership()->lease_deadline_ns(ctx_->node_id)) {
-      return AbortWith(Status::kStaleEpoch);
-    }
+  if (engine_->fencing() && !engine_->membership()->LeaseAndEpochValid(
+                                 ctx_->node_id, ctx_->clock.now_ns(), begin_epoch_)) {
+    return AbortWith(Status::kStaleEpoch);
   }
   for (const AccessEntry& e : read_set_) {
     TxnEngine::RecordMeta meta;
@@ -791,9 +800,6 @@ Status Transaction::CommitReadWrite() {
   }
 
   // Transaction reports committed before unlocking (Fig. 7).
-  if (engine_->config().replication) {
-    engine_->replicator()->EndTransaction(ctx_, txn_id_);
-  }
   engine_->stats().IncCommit();
 
   // C.6: unlock.

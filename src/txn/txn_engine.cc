@@ -67,6 +67,18 @@ bool TxnEngine::OwnerAbsent(const sim::ThreadContext* ctx, uint64_t lock_word) c
 
 namespace {
 
+// Retries of a locked local record in the execution phase before the
+// seqlock fallback read path.
+constexpr uint32_t kLocalReadRetries = 16;
+// Spins of the seqlock fallback read before giving up with kConflict. A
+// healthy committer clears the lock within a handful of spins; a lock that
+// outlives this budget is leaked (its owner died or its unlock verb was lost)
+// and only a configuration change can release it, so the read must abort
+// rather than wait (DESIGN.md §9).
+constexpr uint32_t kSeqlockReadSpins = 256;
+// Max consistency retries for a remote versioned read.
+constexpr uint32_t kRemoteReadRetries = 64;
+
 // Records an accepted read of `rec` (table[key] at `off` on `node`) in
 // `entry`, and copies its payload out when the caller asked for it.
 void FillAccess(store::Table* table, uint32_t node, uint64_t key, uint64_t off,
@@ -103,7 +115,7 @@ Status TxnEngine::ReadLocalRecord(sim::ThreadContext* ctx, store::Table* table, 
   // Fig. 5: copy the record inside a small HTM region after checking that no
   // remote committer holds the lock; a locked record is about to change, so
   // abort and retry with randomized backoff rather than read a doomed value.
-  for (uint32_t attempt = 0; attempt < config_.local_read_retry_threshold; ++attempt) {
+  for (uint32_t attempt = 0; attempt < kLocalReadRetries; ++attempt) {
     sim::HtmTxn* htm = node->htm()->Begin(ctx, obs::HtmSite::kLocalRead);
     if (htm == nullptr) {
       return Status::kInvalid;  // nested inside another HTM region
@@ -140,7 +152,7 @@ Status TxnEngine::ReadLocalRecord(sim::ThreadContext* ctx, store::Table* table, 
   // read and let the transaction retry instead.
   std::vector<std::byte> buf2(rec_bytes);
   bool stable = false;
-  for (uint32_t spin = 0; spin < config_.seqlock_read_spin_threshold; ++spin) {
+  for (uint32_t spin = 0; spin < kSeqlockReadSpins; ++spin) {
     if (node->killed()) {
       return Status::kUnavailable;
     }
@@ -194,7 +206,7 @@ Status TxnEngine::ReadRemoteRecord(sim::ThreadContext* ctx, store::Table* table,
 
   const size_t rec_bytes = table->record_bytes();
   std::vector<std::byte> buf(rec_bytes);
-  for (uint32_t attempt = 0; attempt < config_.remote_read_retry_threshold; ++attempt) {
+  for (uint32_t attempt = 0; attempt < kRemoteReadRetries; ++attempt) {
     const Status s = self->nic()->Read(ctx, node, off, buf.data(), rec_bytes);
     if (s != Status::kOk) {
       return s;
@@ -251,11 +263,11 @@ void TxnEngine::ReadMetaLocal(sim::ThreadContext* ctx, const AccessEntry& e, Rec
       ->Read(ctx, e.offset + RecordLayout::kLockOff, meta, sizeof(*meta));
 }
 
-Status TxnEngine::ReadMetaRemote(sim::ThreadContext* ctx, const AccessEntry& e,
-                                 RecordMeta* meta) {
+Status TxnEngine::ReadMetaRemote(sim::ThreadContext* ctx, const AccessEntry& e, RecordMeta* meta,
+                                 uint64_t* completion_ns) {
   return cluster_->node(ctx->node_id)
       ->nic()
-      ->Read(ctx, e.node, e.offset + RecordLayout::kLockOff, meta, sizeof(*meta));
+      ->Read(ctx, e.node, e.offset + RecordLayout::kLockOff, meta, sizeof(*meta), completion_ns);
 }
 
 bool TxnEngine::StealIfOwnerAbsent(sim::ThreadContext* ctx, uint32_t node, uint64_t offset,
@@ -276,6 +288,15 @@ bool TxnEngine::StealIfOwnerAbsent(sim::ThreadContext* ctx, uint32_t node, uint6
 }
 
 // ---------------- insert/delete shipping ----------------
+
+namespace {
+
+// Virtual-time budget a mutation RPC waits for its reply before surfacing
+// kTimeout (the host may be partitioned rather than dead, in which case the
+// fabric's alive() check alone would spin forever).
+constexpr uint64_t kMutateReplyBudgetNs = 200'000;
+
+}  // namespace
 
 Status TxnEngine::ApplyMutation(sim::ThreadContext* ctx, MutationEntry::Op op, uint32_t table_id,
                                 uint64_t key, const std::byte* value, size_t value_len) {
@@ -353,7 +374,7 @@ Status TxnEngine::Mutate(sim::ThreadContext* ctx, const MutationEntry& m) {
   // Poll for the matching reply; bail out if the target machine dies or the
   // virtual-time budget runs out (a partitioned host never replies, and only
   // a configuration change will say so — don't hang the worker until then).
-  const uint64_t deadline_ns = ctx->clock.now_ns() + config_.mutate_reply_budget_ns;
+  const uint64_t deadline_ns = ctx->clock.now_ns() + kMutateReplyBudgetNs;
   sim::Message reply;
   while (true) {
     if (nic->TryRecv(ctx, &reply, 1 + ctx->worker_id)) {

@@ -125,13 +125,16 @@ class TxnEngine {
   // lock, incarnation and seq words, 24 B at kLockOff in one bus read or one
   // RDMA READ. Validation must see the lock: a committer that holds it may
   // not have written the record back yet, so an unchanged seq proves nothing.
+  // A non-null `completion_ns` posts the READ (RdmaNic::Read) instead of
+  // waiting for it.
   struct RecordMeta {
     uint64_t lock = 0;
     uint64_t inc = 0;
     uint64_t seq = 0;
   };
   void ReadMetaLocal(sim::ThreadContext* ctx, const AccessEntry& e, RecordMeta* meta);
-  Status ReadMetaRemote(sim::ThreadContext* ctx, const AccessEntry& e, RecordMeta* meta);
+  Status ReadMetaRemote(sim::ThreadContext* ctx, const AccessEntry& e, RecordMeta* meta,
+                        uint64_t* completion_ns = nullptr);
 
   // Passive dangling-lock release (§5.2): if `lock_word`'s owner is absent,
   // CAS it off the record at (node, offset) through the NIC (loopback for a

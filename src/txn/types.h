@@ -54,17 +54,6 @@ struct TxnConfig {
 
   // HTM retries in the commit phase before taking the fallback handler (§6.1).
   uint32_t htm_retry_threshold = 8;
-  // Retries of a locked local record in the execution phase before the
-  // seqlock fallback read path.
-  uint32_t local_read_retry_threshold = 16;
-  // Max consistency retries for a remote versioned read.
-  uint32_t remote_read_retry_threshold = 64;
-  // Spins of the seqlock fallback read before giving up with kConflict. A
-  // healthy committer clears the lock within a handful of spins; a lock that
-  // outlives this budget is leaked (its owner died or its unlock verb was
-  // lost) and only a configuration change can release it, so the read must
-  // abort rather than wait (DESIGN.md §9).
-  uint32_t seqlock_read_spin_threshold = 256;
 
   // Ablation (DESIGN.md §5): when false, remote read-set records are only
   // validated (FaRM-style), not locked, during commit. This sacrifices the
@@ -93,20 +82,6 @@ struct TxnConfig {
   // only to prove the chk::SerializabilityChecker detects the resulting
   // anomalies; never enable outside that test.
   bool unsafe_skip_read_validation = false;
-
-  // Bounded retry for the C.1 remote-lock CAS (DESIGN.md §10): a CAS that
-  // keeps observing a dangling lock (owner absent from the configuration)
-  // releases it and retries at most this many times, with jittered
-  // exponential backoff between attempts, before surfacing kTimeout. Live
-  // conflicts still abort immediately (the paper's no-wait rule).
-  uint32_t lock_retry_threshold = 6;
-  uint64_t lock_backoff_base_ns = 200;
-  uint64_t lock_backoff_cap_ns = 12'800;
-
-  // Virtual-time budget a mutation RPC waits for its reply before surfacing
-  // kTimeout (the host may be partitioned rather than dead, in which case the
-  // fabric's alive() check alone would spin forever).
-  uint64_t mutate_reply_budget_ns = 200'000;
 };
 
 struct TxnStats {

@@ -48,7 +48,7 @@ TEST(Cluster, BuildsNodesWithSymmetricLayout) {
   for (uint32_t i = 0; i < 3; ++i) {
     EXPECT_EQ(c.node(i)->id(), i);
     EXPECT_EQ(c.node(i)->log_begin(), (4u << 20) - (1u << 20));
-    EXPECT_EQ(c.node(i)->num_slots(), cfg.workers_per_node + cfg.aux_threads + 1);
+    EXPECT_EQ(c.node(i)->num_slots(), cfg.workers_per_node + kAuxThreads + 1);
     EXPECT_NE(c.node(i)->nic(), nullptr);
   }
   // Symmetric allocation: same sequence of allocs yields same offsets.

@@ -285,6 +285,24 @@ TEST_F(ObsRegistryTest, ChromeTraceMixesSpansAndInstants) {
   EXPECT_NE(body.find("\"tid\":2"), std::string::npos);
 }
 
+TEST_F(ObsRegistryTest, ChromeTraceNamesPhaseSpansByPhase) {
+  obs::Registry& reg = obs::Registry::Global();
+  reg.EnableTrace(64);
+  for (size_t i = 0; i < obs::kNumPhases; ++i) {
+    reg.AddTrace(obs::TraceNameOf(static_cast<obs::Phase>(i)), 0, 0, 100 * i, 10, 0);
+  }
+  reg.AddTrace(obs::TraceName::kTxnReadOnly, 0, 0, 1000, 10, 1);
+  const std::string path = TempPath("obs_trace_phases.json");
+  ASSERT_TRUE(reg.WriteChromeTrace(path));
+  const std::string body = Slurp(path);
+  for (size_t i = 0; i < obs::kNumPhases; ++i) {
+    const std::string name = obs::PhaseName(static_cast<obs::Phase>(i));
+    EXPECT_NE(body.find("\"name\":\"" + name + "\""), std::string::npos) << name;
+  }
+  EXPECT_NE(body.find("\"name\":\"txn_ro\""), std::string::npos);
+  EXPECT_EQ(body.find("\"name\":\"?\""), std::string::npos);
+}
+
 TEST_F(ObsRegistryTest, SnapshotJsonContainsAllSections) {
   obs::Registry& reg = obs::Registry::Global();
   reg.AddCount(obs::Counter::kTxnCommit, 5);

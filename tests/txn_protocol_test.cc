@@ -317,6 +317,33 @@ TEST_F(LockedReadSetTest, LocalReadSetValidationRefusesLockedRecord) {
   EXPECT_EQ(Balance(12), 1000u);
 }
 
+TEST_F(LockedReadSetTest, RemoteReadSetValidationRefusesLockedRecordWithoutReadLocks) {
+  // Under the lock_remote_read_set=false ablation C.1 locks only the remote
+  // write set, so C.2 alone must notice a foreign lock on a remote read. Key
+  // 16 is read and written (its C.1 lock is ours and must not fail C.2); key
+  // 13 is only read.
+  TxnConfig tcfg;
+  tcfg.lock_remote_read_set = false;
+  TxnEngine engine(cluster_.get(), catalog_.get(), tcfg);
+  sim::ThreadContext* ctx = cluster_->node(0)->context(1);
+  for (const bool locked : {true, false}) {
+    Transaction txn(&engine, ctx);
+    txn.Begin();
+    Account a{};
+    ASSERT_EQ(txn.Read(accounts_, HomeOf(13), 13, &a), Status::kOk);
+    ASSERT_EQ(txn.Read(accounts_, HomeOf(16), 16, &a), Status::kOk);
+    a.balance = 7;
+    ASSERT_EQ(txn.Write(accounts_, HomeOf(16), 16, &a), Status::kOk);
+    const uint64_t off = locked ? Lock(13) : 0;
+    EXPECT_EQ(txn.Commit(), locked ? Status::kAborted : Status::kOk);
+    if (locked) {
+      Unlock(13, off);
+    }
+  }
+  EXPECT_EQ(Balance(16), 7u);
+  ExpectNoLocksHeld(cluster_.get(), accounts_, {13, 16});
+}
+
 TEST_F(TxnTest, LockConflictOnRemoteCommit) {
   // Hold the lock of a remote record; a commit needing it must abort (C.1)
   // and release the lock it already took on key 1, which sorts first.
