@@ -435,21 +435,16 @@ void ProtocolAnalyzer::OnVerbInRegion(const sim::ThreadContext* ctx, bool aborte
              ActorString(CurrentActor(ctx)) + ")");
 }
 
-void ProtocolAnalyzer::OnVerbAdmitted(const sim::MemoryBus* src_bus,
-                                      const sim::MemoryBus* dst_bus, uint32_t src_node,
-                                      uint32_t dst_node, bool fencing_enabled) {
-  if (!fencing_enabled) {
-    return;  // without fencing, stale-epoch admission is the configured policy
-  }
-  BusShadow* sb = FindBus(src_bus);
-  BusShadow* db = FindBus(dst_bus);
+void ProtocolAnalyzer::OnVerbAdmitted(const sim::MemoryBus* src_bus, uint32_t src_node,
+                                      uint32_t dst_node, uint64_t fence_epoch) {
+  const BusShadow* sb = FindBus(src_bus);
   const uint64_t se = sb != nullptr ? sb->epoch.load(std::memory_order_relaxed) : 0;
-  const uint64_t de = db != nullptr ? db->epoch.load(std::memory_order_relaxed) : 0;
-  if (se < de) {
+  if (se < fence_epoch) {
     Report(ViolationClass::kEpochFencing, Actor{src_node, Actor::kUnknown}, 0,
            "mutating verb admitted from node " + std::to_string(src_node) + " (epoch " +
-               std::to_string(se) + ") to node " + std::to_string(dst_node) + " (epoch " +
-               std::to_string(de) + "): issuer should have been fenced");
+               std::to_string(se) + ") to node " + std::to_string(dst_node) +
+               " under fence epoch " + std::to_string(fence_epoch) +
+               ": issuer should have been fenced");
   }
 }
 

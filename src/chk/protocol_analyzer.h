@@ -22,7 +22,7 @@
 //                            locks at quiescence (shares one leak rule with
 //                            the torture oracle's sweep).
 //   5. epoch fencing       — a mutating verb admitted while the issuer's
-//                            stamped epoch lags the target's.
+//                            stamped epoch lags the fabric's fence epoch.
 //
 // Design notes. The analyzer never reads bus memory: shadow state is updated
 // exclusively from hook-delivered bytes, so it is race-free under TSan by
@@ -167,12 +167,13 @@ class ProtocolAnalyzer {
   // A fabric verb was issued inside an HTM region; `aborted` reports whether
   // the no-I/O rule fired. Not aborting is a strong-atomicity breach.
   void OnVerbInRegion(const sim::ThreadContext* ctx, bool aborted);
-  // A mutating verb passed admission; flags it if the issuer's stamped epoch
-  // (shadowed from the epoch-word CASes) lags the target's. Deliberately
-  // separate from the fabric's own fence (RdmaNic::Deliver) so an admission
+  // A mutating verb passed admission under `fence_epoch` (the fence the
+  // fabric read, 0 with fencing off); flags it if the issuer's stamped epoch
+  // (shadowed from the epoch-word CASes) lags that fence. Deliberately
+  // separate from the fabric's own check (RdmaNic::Deliver) so an admission
   // path that lost its fence still trips the analyzer.
-  void OnVerbAdmitted(const sim::MemoryBus* src_bus, const sim::MemoryBus* dst_bus,
-                      uint32_t src_node, uint32_t dst_node, bool fencing_enabled);
+  void OnVerbAdmitted(const sim::MemoryBus* src_bus, uint32_t src_node, uint32_t dst_node,
+                      uint64_t fence_epoch);
 
   // ---- engine-layer hooks (txn) ----
   // A remote/seqlock read was accepted as a snapshot. versions_ok is the

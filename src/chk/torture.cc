@@ -339,13 +339,86 @@ TortureResult RunTorture(const TortureOptions& opt) {
     }
   };
 
+  // One read-only snapshot of every account through the transaction layer.
+  // A committed snapshot is counted as an audit and must observe the
+  // conserved total (`who` names the auditor in the error); returns false if
+  // a read or the commit failed.
+  std::atomic<uint64_t> audits{0};
+  auto audit = [&](txn::Transaction& ro, sim::ThreadContext* ctx, const char* who) {
+    ro.Begin(true);
+    int64_t sum = 0;
+    for (uint32_t p = 0; p < nodes; ++p) {
+      for (uint64_t i = 0; i < shape.keys_per_node; ++i) {
+        Cell c{};
+        if (ro.Read(table, pmap.node_of(p), KeyOf(p, i), &c) != Status::kOk) {
+          ro.UserAbort();
+          return false;
+        }
+        sum += c.value;
+        // A full snapshot spans tens of microseconds of virtual time; under
+        // the no-oracle gate, sync mid-snapshot so the auditor's clock cannot
+        // outrun its own lease renewals (no-op without a gate; blocking
+        // mid-transaction is safe — versions are re-validated at commit).
+        cluster.SyncGate(&ctx->clock);
+      }
+    }
+    if (ro.Commit() != Status::kOk) {
+      return false;
+    }
+    audits.fetch_add(1);
+    if (sum != total) {
+      flag(std::string(who) + " snapshot sum " + std::to_string(sum) + " != " +
+           std::to_string(total));
+    }
+    return true;
+  };
+
+  // Proves a re-hosted victim partition serves brand-new transactions: up
+  // to 20 transfers from `host`, each touching the victim's partition on
+  // one side, within a 400-attempt budget. Returns how many committed.
+  auto prove_rehosted = [&](uint32_t host) {
+    txn::Transaction txn(&engine, cluster.node(host)->context(0));
+    FastRand rng(opt.seed ^ 0xdead5eedull);
+    uint64_t proved = 0;
+    uint64_t attempts = 0;
+    for (uint64_t i = 0; i < 20 && attempts < 400; ++i) {
+      const uint64_t from = KeyOf(victim, rng.Uniform(shape.keys_per_node));
+      uint32_t tp = static_cast<uint32_t>(rng.Uniform(nodes));
+      uint64_t to = KeyOf(tp, rng.Uniform(shape.keys_per_node));
+      if (to == from) {
+        continue;
+      }
+      while (attempts < 400) {
+        ++attempts;
+        txn.Begin();
+        Cell a{}, b{};
+        if (txn.Read(table, pmap.node_of(victim), from, &a) != Status::kOk ||
+            txn.Read(table, pmap.node_of(tp), to, &b) != Status::kOk) {
+          txn.UserAbort();
+          continue;
+        }
+        a.value -= 3;
+        b.value += 3;
+        if (txn.Write(table, pmap.node_of(victim), from, &a) != Status::kOk ||
+            txn.Write(table, pmap.node_of(tp), to, &b) != Status::kOk) {
+          txn.UserAbort();
+          continue;
+        }
+        if (txn.Commit() == Status::kOk) {
+          ++proved;
+          break;
+        }
+      }
+    }
+    return proved;
+  };
+
   HistoryRecorder::Global().Reset();
   HistoryRecorder::Global().Enable(true);
 
   // One transfer with retry-until-commit; every loop re-checks the kill
   // boundary so a victim worker parks at a transaction boundary.
   std::atomic<uint64_t> committed{0};
-  std::atomic<uint64_t> audits{0};
   std::atomic<uint32_t> running{nodes * shape.workers};
   const bool debug = std::getenv("DRTMR_TORTURE_DEBUG") != nullptr;
   std::vector<std::unique_ptr<std::atomic<uint64_t>>> dbg_stage;
@@ -513,33 +586,8 @@ TortureResult RunTorture(const TortureOptions& opt) {
         if (kill_ns != ~0ull && ctx->clock.now_ns() + kKillMarginNs >= kill_ns) {
           break;
         }
-        ro.Begin(true);
-        int64_t sum = 0;
-        bool readable = true;
-        for (uint32_t p = 0; p < nodes && readable; ++p) {
-          for (uint64_t i = 0; i < shape.keys_per_node && readable; ++i) {
-            Cell c{};
-            readable = ro.Read(table, pmap.node_of(p), KeyOf(p, i), &c) == Status::kOk;
-            sum += c.value;
-            // A full snapshot spans tens of microseconds of virtual time;
-            // under the no-oracle gate, sync mid-snapshot so the auditor's
-            // clock cannot outrun its own lease renewals (no-op without a
-            // gate; blocking mid-transaction is safe — versions are
-            // re-validated at commit).
-            cluster.SyncGate(&ctx->clock);
-          }
-        }
-        if (!readable) {
-          ro.UserAbort();
+        if (!audit(ro, ctx, "auditor")) {
           std::this_thread::yield();
-          continue;
-        }
-        if (ro.Commit() == Status::kOk) {
-          audits.fetch_add(1);
-          if (sum != total) {
-            flag("auditor snapshot sum " + std::to_string(sum) + " != " +
-                 std::to_string(total));
-          }
         }
       }
       if (membership != nullptr) {
@@ -629,40 +677,7 @@ TortureResult RunTorture(const TortureOptions& opt) {
         // Prove the pipeline end to end: with the membership layer still
         // running (leases must stay fresh for commit admission), brand-new
         // transactions against the auto-re-hosted partition must commit.
-        const uint32_t host = pmap.node_of(victim);
-        sim::ThreadContext* ctx = cluster.node(host)->context(0);
-        txn::Transaction txn(&engine, ctx);
-        FastRand rng(opt.seed ^ 0xdead5eedull);
-        uint64_t attempts = 0;
-        for (uint64_t i = 0; i < 20 && attempts < 400; ++i) {
-          const uint64_t from = KeyOf(victim, rng.Uniform(shape.keys_per_node));
-          uint32_t tp = static_cast<uint32_t>(rng.Uniform(nodes));
-          uint64_t to = KeyOf(tp, rng.Uniform(shape.keys_per_node));
-          if (to == from) {
-            continue;
-          }
-          while (attempts < 400) {
-            ++attempts;
-            txn.Begin();
-            Cell a{}, b{};
-            if (txn.Read(table, pmap.node_of(victim), from, &a) != Status::kOk ||
-                txn.Read(table, pmap.node_of(tp), to, &b) != Status::kOk) {
-              txn.UserAbort();
-              continue;
-            }
-            a.value -= 3;
-            b.value += 3;
-            if (txn.Write(table, pmap.node_of(victim), from, &a) != Status::kOk ||
-                txn.Write(table, pmap.node_of(tp), to, &b) != Status::kOk) {
-              txn.UserAbort();
-              continue;
-            }
-            if (txn.Commit() == Status::kOk) {
-              ++post_committed;
-              break;
-            }
-          }
-        }
+        post_committed = prove_rehosted(pmap.node_of(victim));
         if (post_committed == 0) {
           flag("no transaction committed against the auto-re-hosted partition");
         }
@@ -693,68 +708,14 @@ TortureResult RunTorture(const TortureOptions& opt) {
              std::to_string(shape.keys_per_node) + " records");
       }
 
-      sim::ThreadContext* ctx = cluster.node(host)->context(0);
-      txn::Transaction txn(&engine, ctx);
-      FastRand rng(opt.seed ^ 0xdead5eedull);
-      uint64_t attempts = 0;
-      for (uint64_t i = 0; i < 20 && attempts < 400; ++i) {
-        // Always touch the re-hosted partition on one side.
-        const uint64_t from = KeyOf(victim, rng.Uniform(shape.keys_per_node));
-        uint32_t tp = static_cast<uint32_t>(rng.Uniform(nodes));
-        uint64_t to = KeyOf(tp, rng.Uniform(shape.keys_per_node));
-        if (to == from) {
-          continue;
-        }
-        while (attempts < 400) {
-          ++attempts;
-          txn.Begin();
-          Cell a{}, b{};
-          if (txn.Read(table, pmap.node_of(victim), from, &a) != Status::kOk ||
-              txn.Read(table, pmap.node_of(tp), to, &b) != Status::kOk) {
-            txn.UserAbort();
-            continue;
-          }
-          a.value -= 3;
-          b.value += 3;
-          if (txn.Write(table, pmap.node_of(victim), from, &a) != Status::kOk ||
-              txn.Write(table, pmap.node_of(tp), to, &b) != Status::kOk) {
-            txn.UserAbort();
-            continue;
-          }
-          if (txn.Commit() == Status::kOk) {
-            ++post_committed;
-            break;
-          }
-        }
-      }
+      post_committed = prove_rehosted(host);
       if (post_committed == 0) {
         flag("no transaction committed against the re-hosted partition");
       }
       // One final audited snapshot through the transaction layer.
+      sim::ThreadContext* ctx = cluster.node(host)->context(0);
       txn::Transaction ro(&engine, ctx);
-      for (uint32_t attempt = 0; attempt < 50; ++attempt) {
-        ro.Begin(true);
-        int64_t sum = 0;
-        bool readable = true;
-        for (uint32_t p = 0; p < nodes && readable; ++p) {
-          for (uint64_t i = 0; i < shape.keys_per_node && readable; ++i) {
-            Cell c{};
-            readable = ro.Read(table, pmap.node_of(p), KeyOf(p, i), &c) == Status::kOk;
-            sum += c.value;
-          }
-        }
-        if (!readable) {
-          ro.UserAbort();
-          continue;
-        }
-        if (ro.Commit() == Status::kOk) {
-          audits.fetch_add(1);
-          if (sum != total) {
-            flag("post-recovery snapshot sum " + std::to_string(sum) + " != " +
-                 std::to_string(total));
-          }
-          break;
-        }
+      for (uint32_t attempt = 0; attempt < 50 && !audit(ro, ctx, "post-recovery"); ++attempt) {
       }
     } else {
       flag("kill plan on an unreplicated shape: nothing to recover from");

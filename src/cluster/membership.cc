@@ -72,23 +72,41 @@ bool MembershipService::LeaseAndEpochValid(uint32_t node, uint64_t now_ns,
   return now_ns + kCommitGuardNs <= lease_deadline_ns(node) && NodeEpoch(node) == begin_epoch;
 }
 
-void MembershipService::StampEpoch(uint32_t node, uint64_t epoch) {
-  sim::MemoryBus* bus = cluster_->fabric()->bus(node);
-  uint64_t cur = bus->ReadU64(nullptr, sim::Fabric::kEpochWordOff);
-  while (cur < epoch) {
-    uint64_t observed = 0;
-    // drtmr-lint: allow(registered-memory): control-plane epoch stamp, deliberately unpaced
-    if (bus->CasU64(nullptr, sim::Fabric::kEpochWordOff, cur, epoch, &observed)) {
-      break;
-    }
-    cur = observed;  // concurrent stamp raced us; retry unless already >= epoch
-  }
-}
+Status MembershipService::InstallEpoch(uint64_t epoch,
+                                       const std::vector<PartitionMap::Move>& moves) {
+  // 1. Re-route first: once the partition map points at the new home, new
+  //    transactions go there, and any still routed at the old one abort on
+  //    the epoch checks the stamp arms (flip-before-stamp closes the
+  //    split-brain hole where a pre-flip read could pair with a post-re-host
+  //    commit). A reconfiguration with a newer epoch that already flipped a
+  //    partition wins the monotone CAS and its flip stands.
+  DRTMR_CHECK(moves.empty() || pmap_ != nullptr);
+  const bool flips_stood = moves.empty() || pmap_->Apply(moves, epoch);
 
-void MembershipService::StampMembers(const ClusterView& view) {
-  for (uint32_t m : view.members) {
-    StampEpoch(m, view.epoch);
+  // 2. Stamp the epoch into every member's registered memory, then raise
+  //    the fabric's fence to it. The stamps doom HTM regions that read the
+  //    word, so on members the commit entry checks and HTM epoch reads reject
+  //    transactions that began in an older epoch. The fence fences a removed
+  //    node (its word stays behind) at one instant, after the last stamp: a
+  //    member is never refused because another member was stamped first.
+  sim::Fabric* fabric = cluster_->fabric();
+  for (uint32_t m : coordinator_->view().members) {
+    fabric->StampEpoch(m, epoch);
+    if (stamp_hook_) {
+      stamp_hook_(m);
+    }
   }
+  fabric->RaiseFence(epoch);
+
+  // 3. Drain commits that entered before the fence (their replication log
+  //    appends have already landed, so a recovery that follows observes
+  //    them). Later entrants fail their epoch checks, so this terminates
+  //    unless a worker is wedged.
+  const bool drained = cluster_->DrainCommits();
+  if (!flips_stood) {
+    return Status::kConflict;
+  }
+  return drained ? Status::kOk : Status::kTimeout;
 }
 
 uint32_t MembershipService::PickHost(const ClusterView& view, uint32_t dead) {
@@ -118,7 +136,7 @@ void MembershipService::Arm() {
   for (uint32_t m : v.members) {
     lease_deadline_[m].store(coordinator_->LeaseDeadline(m), std::memory_order_release);
   }
-  StampMembers(v);
+  (void)InstallEpoch(v.epoch);
 }
 
 void MembershipService::Start() {
@@ -247,7 +265,7 @@ void MembershipService::HeartbeatOnce(uint32_t node, sim::ThreadContext* ctx) {
   if (degraded(node)) {
     // Rejoin: allowed only after recovery of the old incarnation finished.
     if (!pending_recovery_[node].load(std::memory_order_acquire)) {
-      StampEpoch(node, observed_epoch);
+      cluster_->fabric()->StampEpoch(node, observed_epoch);
       coordinator_->Join(node, now, config_.lease_ns);
       lease_deadline_[node].store(now + config_.lease_ns, std::memory_order_release);
       degraded_[node].store(false, std::memory_order_release);
@@ -295,38 +313,19 @@ void MembershipService::ProcessViewChange(const ClusterView& view, sim::ThreadCo
     pending_recovery_[d].store(true, std::memory_order_release);
   }
 
-  // 1. Re-route first: once the partition map points at the survivor, new
-  //    transactions go there, and any still routed at the dead node abort on
-  //    the epoch check below (flip-before-stamp closes the split-brain hole
-  //    where a pre-flip read could pair with a post-re-host commit).
+  // 1-3. Install the epoch: re-host the removed nodes' partitions on their
+  //      ring successors, stamp the members and raise the fence, drain.
+  //      A lost flip means a newer reconfiguration (a racing migration
+  //      cutover) already moved the partition; its placement stands. A
+  //      drain past the wedge budget proceeds to recovery.
+  std::vector<PartitionMap::Move> moves;
   if (pmap_ != nullptr && !view.members.empty()) {
     for (uint32_t d : removed) {
-      const uint32_t host = PickHost(view, d);
-      for (uint32_t p = 0; p < pmap_->num_partitions(); ++p) {
-        if (pmap_->node_of(p) == d) {
-          // Carry the committed view's epoch: a racing migration cutover with
-          // a newer epoch wins the CAS and its flip stands.
-          pmap_->Rehost(p, host, view.epoch);
-        }
-      }
+      const std::vector<PartitionMap::Move> off = pmap_->MovesOff(d, PickHost(view, d));
+      moves.insert(moves.end(), off.begin(), off.end());
     }
   }
-
-  // 2. Stamp the committed epoch into every *member*'s registered memory; a
-  //    removed node's word stays behind, so from here on the fabric rejects
-  //    its mutating verbs (issuer stamp < target stamp), and on survivors the
-  //    commit entry checks and HTM epoch reads reject transactions that began
-  //    in the older epoch.
-  StampMembers(view);
-
-  // 3. Drain commits that entered before the stamp (their replication log
-  //    appends have already landed, so recovery's log drain below observes
-  //    them). Post-stamp entrants self-fence immediately, so this terminates.
-  for (uint32_t i = 0; i < cluster_->num_nodes(); ++i) {
-    while (cluster_->node(i)->inflight_commits() != 0) {
-      std::this_thread::yield();
-    }
-  }
+  (void)InstallEpoch(view.epoch, moves);
 
   // 4. Recover: re-host the removed node's data from backups.
   for (uint32_t d : removed) {
@@ -336,8 +335,8 @@ void MembershipService::ProcessViewChange(const ClusterView& view, sim::ThreadCo
     } else if (view.members.empty()) {
       // Total collapse: every lease expired in one sweep, so there is no
       // survivor to re-host d's data on — and nobody to serve it to, since
-      // every issuer is fenced by the stamp above. The partition map was
-      // likewise left untouched (step 1 skipped), so d's data sits intact
+      // every issuer is fenced by the fence above. The partition map was
+      // likewise left untouched (no moves), so d's data sits intact
       // with its fenced incarnation and comes back verbatim when the node
       // rejoins through the loopback-probe path. The suspicion is therefore
       // resolved vacuously; leaving it dangling would wedge the

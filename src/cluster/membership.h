@@ -13,25 +13,27 @@
 //    refused renewal (or a lease observed expired) self-fences the node into
 //    degraded mode: it stops committing until it rejoins in a later epoch.
 //
-//  * Epoch stamping. The committed ClusterView epoch is written into every
-//    *member*'s registered memory at sim::Fabric::kEpochWordOff by the driver
-//    (simulating the new configuration's fencing write to registered memory —
-//    see the deviation note in DESIGN.md §10). A removed node's word is
-//    deliberately left behind: that is what fences it — the fabric rejects
-//    mutating verbs whose issuer's stamp lags the target's
-//    (RdmaNic::Deliver), so a zombie's lock CAS, log append, and write-back
-//    all bounce off survivors. The stamp is a plain bus CAS, so it also dooms
-//    any HTM commit region that read the word.
+//  * Epoch install (InstallEpoch). One step, shared by the driver and the
+//    live-migration cutover: re-host partitions with the monotone map CAS,
+//    write the epoch into every *member*'s registered memory at
+//    sim::Fabric::kEpochWordOff (simulating the new configuration's fencing
+//    write — see the deviation note in DESIGN.md §10), raise the fabric's
+//    fence epoch once the last member carries it, and drain in-flight
+//    commits (Node::EnterCommit counters). A removed node's word is
+//    deliberately left behind: that is what fences it — the fabric refuses
+//    mutating verbs whose issuer's word lags the fence (RdmaNic::Deliver),
+//    so a zombie's lock CAS, log append, and write-back all bounce. Raising
+//    the fence only after the last stamp means no member's verb is ever
+//    refused because another member was stamped first. The stamp is a plain
+//    bus CAS, so it also dooms any HTM commit region that read the word.
 //
 //  * Reconfiguration driver. A single control thread periodically runs
 //    Coordinator::Reconfigure as the expiry backstop and processes every
-//    committed view change in order: re-host the removed node's partitions
-//    onto the deterministically chosen survivor (next view member in ring
-//    order), stamp the new epoch into every node's registered memory, drain
-//    in-flight commits that entered before the stamp (Node::EnterCommit
-//    counters), run the injected recovery callback, then grant all surviving
-//    members a fresh lease so real-time recovery work cannot cascade into
-//    further suspicions.
+//    committed view change in order: install the new epoch, re-hosting the
+//    removed node's partitions onto the deterministically chosen survivor
+//    (next view member in ring order), run the injected recovery callback,
+//    then grant all surviving members a fresh lease so real-time recovery
+//    work cannot cascade into further suspicions.
 //
 //  * Rejoin. A degraded node's heartbeat keeps ticking; once its reads go
 //    through again (READs are exempt from fencing) and recovery for its old
@@ -74,7 +76,7 @@ class MembershipService {
  public:
   // Runs recovery for `dead`, re-hosting onto `host`; injected by the harness
   // (normally rep::RecoveryManager::RecoverAfterFailure with a null pmap —
-  // the driver flips the partition map itself, before stamping).
+  // the driver's epoch install flips the partition map itself).
   using RecoveryFn = std::function<void(uint32_t dead, uint32_t host)>;
 
   // `pmap` may be null (no partition re-hosting). The coordinator must
@@ -90,7 +92,20 @@ class MembershipService {
   // thread-safe).
   void set_time_gate(TimeGate* gate);
 
-  // Enables fabric fencing, stamps the current epoch everywhere, and records
+  // Installs `epoch` as one step (DESIGN.md §10): applies `moves` to the
+  // partition map, stamps every current member's epoch word, raises the
+  // fabric's fence, and drains in-flight commits. Callable from any thread,
+  // concurrently with the driver. Every step runs whatever the outcome;
+  // returns kConflict if a newer reconfiguration already flipped one of the
+  // moved partitions, kTimeout if the drain hit its wedge budget, else kOk.
+  Status InstallEpoch(uint64_t epoch, const std::vector<PartitionMap::Move>& moves = {});
+
+  // Test instrumentation: runs on the installing thread right after each
+  // member's word is stamped, before the fence is raised. Set it while no
+  // install can run.
+  void set_stamp_hook(std::function<void(uint32_t node)> hook) { stamp_hook_ = std::move(hook); }
+
+  // Enables fabric fencing, installs the current epoch, and records
   // the initial view — without spawning threads. Deterministic unit tests
   // call this and then drive TickHeartbeat/TickDriver by hand.
   void Arm();
@@ -139,12 +154,6 @@ class MembershipService {
   void HeartbeatOnce(uint32_t node, sim::ThreadContext* ctx);
   void DriverOnce(sim::ThreadContext* ctx);
   void ProcessViewChange(const ClusterView& view, sim::ThreadContext* ctx);
-  // Monotone raise of `node`'s epoch word to at least `epoch` (direct bus
-  // CAS: control-plane write, reaches partitioned nodes, dooms HTM readers).
-  void StampEpoch(uint32_t node, uint64_t epoch);
-  // Stamps the view's epoch into the view's *members* only; a removed node's
-  // word stays at its old epoch — that lag is what fences its verbs.
-  void StampMembers(const ClusterView& view);
   // Deterministic re-host target for `dead` under `view`: the next member in
   // ring order (smallest member id greater than `dead`, wrapping around).
   static uint32_t PickHost(const ClusterView& view, uint32_t dead);
@@ -154,6 +163,7 @@ class MembershipService {
   PartitionMap* pmap_;
   MembershipConfig config_;
   RecoveryFn recovery_fn_;
+  std::function<void(uint32_t node)> stamp_hook_;
 
   // Private contexts: heartbeat thread per node + one driver thread. Workers'
   // slots on the Node are untouched.

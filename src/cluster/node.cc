@@ -1,5 +1,8 @@
 #include "src/cluster/node.h"
 
+#include <chrono>
+#include <thread>
+
 #include "src/util/logging.h"
 
 namespace drtmr::cluster {
@@ -129,6 +132,21 @@ void Cluster::Kill(uint32_t id) {
 void Cluster::Revive(uint32_t id) {
   fabric_->Revive(id);
   nodes_[id]->Revive();
+}
+
+bool Cluster::DrainCommits() {
+  // drtmr-lint: allow(wallclock): wedge watchdog on real threads; never feeds protocol state
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  for (const auto& node : nodes_) {
+    while (node->inflight_commits() != 0) {
+      // drtmr-lint: allow(wallclock): wedge watchdog on real threads; never feeds protocol state
+      if (std::chrono::steady_clock::now() > deadline) {
+        return false;
+      }
+      std::this_thread::yield();
+    }
+  }
+  return true;
 }
 
 void Cluster::SetFaultPlan(const sim::FaultPlan* plan) {

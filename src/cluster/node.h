@@ -130,6 +130,11 @@ class Cluster {
   void Kill(uint32_t id);
   void Revive(uint32_t id);
 
+  // Waits until no node has an in-flight commit (Node::EnterCommit). Returns
+  // false, giving up, if that takes longer than a generous real-time budget:
+  // the cluster is wedged, and the caller bails out rather than hang.
+  bool DrainCommits();
+
   // Installs a deterministic fault schedule (sim/fault.h) on the fabric and
   // on every node's HTM engine; nullptr clears it. The plan must outlive its
   // installation and stay immutable while installed.

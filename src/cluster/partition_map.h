@@ -83,6 +83,33 @@ class PartitionMap {
     }
   }
 
+  // One partition's re-host within a configuration change.
+  struct Move {
+    uint32_t partition;
+    uint32_t node;
+  };
+
+  // The moves that re-host every partition `from` owns onto `to`.
+  std::vector<Move> MovesOff(uint32_t from, uint32_t to) const {
+    std::vector<Move> moves;
+    for (uint32_t p = 0; p < num_partitions(); ++p) {
+      if (node_of(p) == from) {
+        moves.push_back({p, to});
+      }
+    }
+    return moves;
+  }
+
+  // Rehosts each move under `epoch`; false if any flip lost to a newer epoch
+  // (the other moves still land).
+  bool Apply(const std::vector<Move>& moves, uint64_t epoch) {
+    bool all = true;
+    for (const Move& m : moves) {
+      all = Rehost(m.partition, m.node, epoch) && all;
+    }
+    return all;
+  }
+
   // Opens/closes the write-drain window without changing owner or epoch.
   void SetMigrating(uint32_t partition, bool on) {
     uint64_t cur = entry_[partition].load(std::memory_order_acquire);

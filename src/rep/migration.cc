@@ -6,6 +6,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/cluster/membership.h"
 #include "src/store/record.h"
 #include "src/util/backoff.h"
 #include "src/util/logging.h"
@@ -68,26 +69,6 @@ std::vector<std::pair<uint32_t, uint32_t>> MigrationManager::PlanRebalance(
   return moves;
 }
 
-bool MigrationManager::DrainInflightCommits() {
-  cluster::Cluster* cluster = engine_->cluster();
-  // Real-time bail: commits run in real time, so a drain that does not
-  // converge within this budget means the cluster is wedged (e.g. every
-  // worker frozen by a fault window) and the migration should roll back
-  // rather than hang the control thread forever.
-  // drtmr-lint: allow(wallclock): wedge watchdog on real threads; never feeds protocol state
-  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
-  for (uint32_t i = 0; i < cluster->num_nodes(); ++i) {
-    while (cluster->node(i)->inflight_commits() != 0) {
-      // drtmr-lint: allow(wallclock): wedge watchdog on real threads; never feeds protocol state
-      if (std::chrono::steady_clock::now() > deadline) {
-        return false;
-      }
-      std::this_thread::yield();
-    }
-  }
-  return true;
-}
-
 uint64_t MigrationManager::WorkerFrontierNs() {
   cluster::Cluster* cluster = engine_->cluster();
   uint64_t frontier = 0;
@@ -118,31 +99,6 @@ void MigrationManager::PaceToWorkers(sim::ThreadContext* ctx) {
          std::chrono::steady_clock::now() - pace_moved_at_ < kStale) {
     std::this_thread::yield();
     observe();
-  }
-}
-
-void MigrationManager::StampMembers(uint64_t epoch) {
-  cluster::Cluster* cluster = engine_->cluster();
-  if (!cluster->fabric()->epoch_fencing()) {
-    return;
-  }
-  // Same mechanism as the membership driver: monotone raise by direct bus
-  // CAS (control-plane write — reaches every member and dooms HTM regions
-  // that read the word). The manager stamps itself rather than waiting on
-  // the membership driver thread, so a frozen driver cannot stall cutover.
-  for (uint32_t m : coordinator_->view().members) {
-    sim::MemoryBus* bus = cluster->node(m)->bus();
-    while (true) {
-      const uint64_t cur = bus->ReadU64(nullptr, sim::Fabric::kEpochWordOff);
-      if (cur >= epoch) {
-        break;
-      }
-      uint64_t obs = 0;
-      // drtmr-lint: allow(registered-memory): control-plane epoch stamp, deliberately unpaced
-      if (bus->CasU64(nullptr, sim::Fabric::kEpochWordOff, cur, epoch, &obs)) {
-        break;
-      }
-    }
   }
 }
 
@@ -420,7 +376,7 @@ MigrationReport MigrationManager::MigratePartition(uint32_t partition, uint32_t 
   // kMigrating (reads keep flowing); in-flight commits drain out.
   pmap_->SetMigrating(partition, true);
   block_.Activate(partition);
-  if (!DrainInflightCommits()) {
+  if (!cluster->DrainCommits()) {
     Rollback(partition, &r, Status::kTimeout);
     return r;
   }
@@ -449,19 +405,18 @@ MigrationReport MigrationManager::MigratePartition(uint32_t partition, uint32_t 
     return r;
   }
 
-  // Phase 5: cutover. Commit a new epoch, flip the map entry (monotone CAS —
-  // losing to a newer epoch means a concurrent reconfiguration superseded
-  // us), fence stragglers by stamping members, drain once more, and only
-  // then close the write block: the flip-to-stamp window stays write-free.
+  // Phase 5: cutover. Commit a new epoch and install it: flip the map entry
+  // (monotone CAS — losing to a newer epoch means a concurrent
+  // reconfiguration superseded us), stamp the members and raise the fence,
+  // drain once more, and only then close the write block: the flip-to-fence
+  // window stays write-free. A drain past the wedge budget is tolerated:
+  // pre-fence stragglers self-fence, so it no longer endangers the flip.
   const uint64_t epoch = coordinator_->BumpEpoch();
-  if (!pmap_->Rehost(partition, dst, epoch)) {
-    Rollback(partition, &r, Status::kConflict);
+  if (const Status s = engine_->membership()->InstallEpoch(epoch, {{partition, dst}});
+      s == Status::kConflict) {
+    Rollback(partition, &r, s);
     return r;
   }
-  StampMembers(epoch);
-  // Best-effort: pre-stamp stragglers self-fence, so non-convergence here
-  // (wedged cluster) no longer endangers the committed flip.
-  (void)DrainInflightCommits();
   block_.Deactivate();
 
   r.epoch = epoch;

@@ -22,12 +22,14 @@
 //   4. Re-seed backups. The moved records' backup ring is re-seeded under
 //      the destination's name, so a later failure of the destination cannot
 //      strand them (mirrors recovery's cascaded-failover rule).
-//   5. Cutover. The coordinator commits a new epoch; the partition map entry
-//      flips to (destination, new epoch) with one monotone CAS (a racing
-//      recovery with a newer epoch wins and the migration rolls back); the
-//      new epoch is stamped into every member's registered memory, fencing
-//      transactions that began under the old placement; in-flight commits
-//      are drained once more; then the write block closes.
+//   5. Cutover. The coordinator commits a new epoch, and the membership
+//      service's install step (cluster::MembershipService::InstallEpoch, the
+//      same one failover uses) installs it: the partition map entry flips to
+//      (destination, new epoch) with one monotone CAS (a racing recovery with
+//      a newer epoch wins and the migration rolls back); the new epoch is
+//      stamped into every member's registered memory and the fabric's fence
+//      raised, fencing transactions that began under the old placement;
+//      in-flight commits are drained once more; then the write block closes.
 //
 // Fault tolerance: the source or destination dying mid-flight (reads return
 // kUnavailable / killed() observed at pass boundaries) or losing the cutover
@@ -36,7 +38,8 @@
 // unreachable through the partition map. A frozen coordinator driver merely
 // stalls the epoch bump; the moving shard degrades to read-only (bounded
 // kMigrating retries) rather than stalling the cluster, because the manager
-// stamps epochs itself and never waits on the membership driver thread.
+// runs the install step on its own thread and never waits on the membership
+// driver thread.
 #ifndef DRTMR_SRC_REP_MIGRATION_H_
 #define DRTMR_SRC_REP_MIGRATION_H_
 
@@ -83,7 +86,8 @@ struct MigrationReport {
 
 class MigrationManager {
  public:
-  // `replicator` may be null (no replication: step 4 is skipped).
+  // `replicator` may be null (no replication: step 4 is skipped). `pmap`
+  // must be the map `engine`'s membership service installs epochs on.
   // Registers its write-admission block with `engine`.
   MigrationManager(txn::TxnEngine* engine, PrimaryBackupReplicator* replicator,
                    cluster::Coordinator* coordinator, cluster::PartitionMap* pmap,
@@ -122,16 +126,6 @@ class MigrationManager {
   // Re-seeds the backup ring of every moved record under the destination's
   // name (primary = dst). No-op without replication.
   uint64_t ReseedBackups(uint32_t partition, uint32_t dst);
-
-  // Monotone raise of every current member's epoch word to `epoch` (direct
-  // bus CAS, same mechanism as the membership driver). No-op when fabric
-  // fencing is off.
-  void StampMembers(uint64_t epoch);
-
-  // Spins until no node has an in-flight commit. Returns false (and gives
-  // up) if the drain does not converge within a generous real-time budget —
-  // the rollback path for a wedged cluster.
-  bool DrainInflightCommits();
 
   // Paces the pump against the workers' virtual-clock frontier: yields real
   // time while `ctx`'s clock leads the frontier by more than the pacing

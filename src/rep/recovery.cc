@@ -132,12 +132,7 @@ RecoveryReport RecoveryManager::RecoverAfterFailure(sim::ThreadContext* ctx, uin
   //    configuration epoch that removed the dead machine. A concurrent
   //    migration cutover with a newer epoch wins the monotone CAS.
   if (pmap != nullptr) {
-    const uint64_t epoch = coordinator_->epoch();
-    for (uint32_t p = 0; p < pmap->num_partitions(); ++p) {
-      if (pmap->node_of(p) == dead) {
-        pmap->Rehost(p, host, epoch);
-      }
-    }
+    (void)pmap->Apply(pmap->MovesOff(dead, host), coordinator_->epoch());
   }
   return report;
 }

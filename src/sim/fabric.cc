@@ -16,6 +16,20 @@ uint32_t Fabric::AddNode(MemoryBus* bus) {
   return id;
 }
 
+void Fabric::StampEpoch(uint32_t node, uint64_t epoch) {
+  MemoryBus* b = bus(node);
+  uint64_t cur = b->ReadU64(nullptr, kEpochWordOff);
+  while (cur < epoch && !b->CasU64(nullptr, kEpochWordOff, cur, epoch, &cur)) {
+  }
+}
+
+void Fabric::RaiseFence(uint64_t epoch) {
+  uint64_t cur = fence_epoch_.load(std::memory_order_acquire);
+  while (cur < epoch &&
+         !fence_epoch_.compare_exchange_weak(cur, epoch, std::memory_order_acq_rel)) {
+  }
+}
+
 bool RdmaNic::IoAllowed(ThreadContext* ctx) {
   // RTM forbids I/O: a verb issued inside an HTM region aborts the region and
   // the verb itself is not performed (the transaction layer must retry
@@ -87,23 +101,21 @@ Status RdmaNic::Deliver(ThreadContext* ctx, obs::Verb verb, uint32_t dst, uint64
   if (verb == obs::Verb::kRead) {
     return Status::kOk;  // READs are never fenced: a fenced node rejoins by reading
   }
-  if (fabric_->epoch_fencing()) {
-    // Reading the epoch words non-transactionally is HTM-safe: a plain bus
-    // read only dooms regions that *write* the line, and nothing but the
-    // membership stamp ever writes line 0.
-    const uint64_t src_epoch = fabric_->epoch_word(node_id_);
-    const uint64_t dst_epoch = fabric_->epoch_word(dst);
-    if (src_epoch < dst_epoch) {
-      obs::Count(obs::Counter::kFenceRejectedVerb);
-      return Status::kStaleEpoch;
-    }
+  // Load the fence before the issuer's word: the install step stamps every
+  // member before it raises the fence, so a member that sees the new fence
+  // also sees its own new stamp. Reading the word non-transactionally is
+  // HTM-safe: a plain bus read only dooms regions that *write* the line, and
+  // nothing but an epoch stamp ever writes line 0.
+  const uint64_t fence = fabric_->epoch_fencing() ? fabric_->fence_epoch() : 0;
+  if (fence != 0 && fabric_->epoch_word(node_id_) < fence) {
+    obs::Count(obs::Counter::kFenceRejectedVerb);
+    return Status::kStaleEpoch;
   }
   // Conformance check for epoch fencing (analyzer class 5): the analyzer
-  // re-derives the verdict from the epoch words, so an admission path that
-  // lost the fence above still trips it.
+  // re-derives the verdict from its own shadow of the issuer's word, so an
+  // admission path that lost the fence above still trips it.
   if (chk::AnalyzerEnabled()) {
-    chk::ProtocolAnalyzer::Global().OnVerbAdmitted(fabric_->bus(node_id_), fabric_->bus(dst),
-                                                   node_id_, dst, fabric_->epoch_fencing());
+    chk::ProtocolAnalyzer::Global().OnVerbAdmitted(fabric_->bus(node_id_), node_id_, dst, fence);
   }
   return Status::kOk;
 }

@@ -235,7 +235,7 @@ class RdmaNic {
   // Admits a charged verb to `dst`: counts it, then returns kUnavailable if
   // it is lost (dead node, permanent partition, drop rule, or a stall past
   // `timeout_ns`, after charging the timeout), and for mutating verbs
-  // kStaleEpoch if the issuer's epoch lags the target's. A verb the fault
+  // kStaleEpoch if the issuer's epoch word lags the fence epoch. A verb the fault
   // plan delivers (even one then fenced) leaves its stall and delay in
   // *fault for the caller to apply to its completion.
   Status Deliver(ThreadContext* ctx, obs::Verb verb, uint32_t dst, uint64_t bytes,
@@ -283,18 +283,28 @@ class Fabric {
   // ---- epoch fencing (§5.2; DESIGN.md §10) ----
   //
   // Each machine's registered memory reserves the word at kEpochWordOff (the
-  // allocator never hands out line 0) for the committed configuration epoch,
-  // stamped there by the membership layer. With fencing enabled, every
-  // *mutating* verb (WRITE / CAS / FAA / SEND) compares the issuer's epoch
-  // word against the target's before touching the target's memory: an issuer
-  // whose epoch lags has been fenced out of the configuration and the verb is
-  // refused with kStaleEpoch. READs stay exempt so a fenced node can still
-  // fetch the current epoch and rejoin. Disabled (the default), the verb path
-  // is bit-identical to the unfenced simulator.
+  // allocator never hands out line 0) for the configuration epoch it was last
+  // stamped with. The fence epoch is the newest configuration installed
+  // cluster-wide: the membership layer's install step stamps every member's
+  // word and only then raises the fence, so a configuration takes effect at
+  // one instant. With fencing enabled, every *mutating* verb (WRITE / CAS /
+  // FAA / SEND) whose issuer's word lags the fence is refused with
+  // kStaleEpoch: the issuer has been fenced out of the configuration. No
+  // member is ever refused because another member's stamp landed first.
+  // READs stay exempt so a fenced node can still fetch the current epoch and
+  // rejoin. Disabled (the default), the verb path is bit-identical to the
+  // unfenced simulator.
   static constexpr uint64_t kEpochWordOff = 0;
   void set_epoch_fencing(bool on) { epoch_fencing_.store(on, std::memory_order_release); }
   bool epoch_fencing() const { return epoch_fencing_.load(std::memory_order_acquire); }
   uint64_t epoch_word(uint32_t node) { return bus(node)->ReadU64(nullptr, kEpochWordOff); }
+  // Monotone raise of `node`'s word to at least `epoch`. A direct bus CAS:
+  // a control-plane write that reaches a partitioned node and dooms any HTM
+  // region that read the word.
+  void StampEpoch(uint32_t node, uint64_t epoch);
+  // Monotone raise of the fence epoch; call once every member carries it.
+  void RaiseFence(uint64_t epoch);
+  uint64_t fence_epoch() const { return fence_epoch_.load(std::memory_order_acquire); }
 
  private:
   friend class RdmaNic;
@@ -310,6 +320,7 @@ class Fabric {
   std::vector<std::unique_ptr<NodePort>> nodes_;
   std::atomic<const FaultPlan*> fault_plan_{nullptr};
   std::atomic<bool> epoch_fencing_{false};
+  std::atomic<uint64_t> fence_epoch_{0};
 };
 
 }  // namespace drtmr::sim

@@ -621,8 +621,11 @@ Status Transaction::WriteBackRemote() {
     }
     const uint64_t final_seq = rules_.RemoteCommitSeq(commit_seq_[i]);
     BuildImage(w, final_seq, &image);
-    // Posted write-back: failures surface through the completion fence, and a
-    // dead target's record is re-hosted from the replication logs anyway.
+    // Posted write-back, outcome ignored: an epoch install never refuses a
+    // member mid-stamp, so a refusal means this issuer was fenced out or the
+    // target is dead. Either way the node was removed from the view, and
+    // recovery replays the logged image (patching the primary, or re-hosting
+    // the dead target's records).
     (void)self_->nic()->Write(ctx_, w.access.node, w.access.offset + RecordLayout::kSeqOff,
                               image.data() + RecordLayout::kSeqOff,
                               image.size() - RecordLayout::kSeqOff, &completion);

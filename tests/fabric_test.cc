@@ -306,7 +306,8 @@ TEST_F(FabricAdmissionTest, DeadTargetAndDropRuleRefuseEveryVerb) {
 TEST_F(FabricAdmissionTest, EpochFenceRefusesEveryMutatingVerbAndAdmitsReads) {
   ThreadContext ctx(0, 0, 1);
   fabric_.set_epoch_fencing(true);
-  buses_[1]->WriteU64(nullptr, Fabric::kEpochWordOff, 5);  // node 0 lags at epoch 0
+  fabric_.StampEpoch(1, 5);
+  fabric_.RaiseFence(5);  // node 0's word lags the fence at epoch 0
   uint64_t mutating = 0;
   for (const VerbCase& v : Verbs()) {
     SCOPED_TRACE(v.name);
@@ -316,8 +317,8 @@ TEST_F(FabricAdmissionTest, EpochFenceRefusesEveryMutatingVerbAndAdmitsReads) {
   ExpectTargetUntouched();
   EXPECT_EQ(Counts().counter(obs::Counter::kFenceRejectedVerb), mutating);
   // The refused WQE left the chain valid: once the issuer catches up with the
-  // target's epoch, the same chain links, rings and lands.
-  buses_[0]->WriteU64(nullptr, Fabric::kEpochWordOff, 5);
+  // fence, the same chain links, rings and lands.
+  fabric_.StampEpoch(0, 5);
   ASSERT_EQ(fabric_.nic(0)->ChainAppend(&ctx, &chain_, 1, kOff, &kValue, sizeof(kValue)),
             Status::kOk);
   fabric_.nic(0)->ChainRing(&ctx, &chain_, &completion_);

@@ -231,6 +231,47 @@ TEST_F(FailoverTest, FusedZombieWriterIsFencedAfterRemoval) {
   ExpectZombieWriterFenced(/*fused_seq_lock=*/true);
 }
 
+// An epoch install fences the removed node at one instant, after the last
+// member is stamped. Until then a survivor that is not stamped yet must still
+// reach members that are: here it releases a lock it holds on node 0 with the
+// same CAS a finishing commit posts, landed by the stamp hook between node 0's
+// and node 2's stamps. Refused, that unlock would be dropped (unlocks are
+// fire-and-forget) and the lock leaked. No threads, no timing.
+TEST_F(FailoverTest, SurvivorUnlockBetweenMemberStampsIsAdmitted) {
+  MembershipConfig mcfg;
+  mcfg.lease_ns = 1'000'000'000;
+  Build(/*nodes=*/3, /*keys_per_node=*/2, mcfg, /*join_lease_ns=*/~0ull >> 2);
+  membership_->Arm();
+
+  sim::ThreadContext* survivor = cluster_->node(2)->context(0);
+  sim::RdmaNic* nic = cluster_->node(2)->nic();
+  const uint64_t lock_off = table_->hash(0)->Lookup(nullptr, KeyOf(0, 0)) + RecordLayout::kLockOff;
+  const uint64_t lock = store::LockWord::Make(2, 0);
+  uint64_t observed = 0;
+  ASSERT_EQ(nic->CompareSwap(survivor, 0, lock_off, store::LockWord::kUnlocked, lock, &observed),
+            Status::kOk);
+
+  Status unlock = Status::kInvalid;
+  membership_->set_stamp_hook([&](uint32_t stamped) {
+    if (stamped == 0) {
+      ASSERT_GT(membership_->NodeEpoch(0), membership_->NodeEpoch(2));
+      unlock = nic->CompareSwap(survivor, 0, lock_off, lock, store::LockWord::kUnlocked,
+                                &observed);
+    }
+  });
+  coordinator_->Remove(1);
+  membership_->TickDriver();
+
+  EXPECT_EQ(unlock, Status::kOk) << StatusString(unlock);
+  ExpectPartitionUnlocked(0);
+  // Once the fence is up, the removed node's verbs bounce as before.
+  EXPECT_EQ(cluster_->node(1)->nic()->CompareSwap(cluster_->node(1)->context(0), 0, lock_off,
+                                                  store::LockWord::kUnlocked,
+                                                  store::LockWord::Make(1, 0), &observed),
+            Status::kStaleEpoch);
+  ExpectPartitionUnlocked(0);
+}
+
 // Full autonomous round-trip under a transient freeze: the victim's heartbeat
 // verbs stall past the fault window, its lease expires, the driver removes
 // it, re-hosts its partition, and stamps the new epoch — then the thaw lets

@@ -198,16 +198,18 @@ TEST_F(ProtocolAnalyzerTest, SweepFlagsLeakedLockAndHonorsExemption) {
 TEST_F(ProtocolAnalyzerTest, DetectsStaleEpochVerbAdmission) {
   // Stamp epoch 5 into node 1's registered memory the same way membership
   // does (a CAS on the fabric epoch word); node 0 stays at epoch 0. A
-  // mutating verb admitted from node 0 to node 1 should have been fenced.
-  sim::MemoryBus* dst = cluster_->node(1)->bus();
+  // mutating verb admitted from node 0 under fence epoch 5 should have been
+  // fenced.
+  sim::MemoryBus* stamped = cluster_->node(1)->bus();
   uint64_t obs = 0;
-  ASSERT_TRUE(dst->CasU64(nullptr, sim::Fabric::kEpochWordOff, 0, 5, &obs));
-  A().OnVerbAdmitted(Bus(), dst, /*src_node=*/0, /*dst_node=*/1, /*fencing_enabled=*/true);
+  ASSERT_TRUE(stamped->CasU64(nullptr, sim::Fabric::kEpochWordOff, 0, 5, &obs));
+  A().OnVerbAdmitted(Bus(), /*src_node=*/0, /*dst_node=*/1, /*fence_epoch=*/5);
   EXPECT_GE(A().violations(ViolationClass::kEpochFencing), 1u);
-  // Same-epoch (or fencing-disabled) admission is conforming.
+  // An issuer that carries the fence (or any issuer with fencing off,
+  // fence 0) is conforming, whatever the target's word.
   const uint64_t before = A().total_violations();
-  A().OnVerbAdmitted(Bus(), dst, 0, 1, /*fencing_enabled=*/false);
-  A().OnVerbAdmitted(dst, Bus(), 1, 0, /*fencing_enabled=*/true);
+  A().OnVerbAdmitted(stamped, 1, 0, /*fence_epoch=*/5);
+  A().OnVerbAdmitted(Bus(), 0, 1, /*fence_epoch=*/0);
   EXPECT_EQ(A().total_violations(), before);
 }
 
