@@ -6,6 +6,7 @@
 #   rep    — the replication battery (`ctest --test-dir build -L rep`)
 #
 # Usage: scripts/check.sh [fast|full|tsan] [--no-tsan] [--no-asan] [--no-ubsan]
+#        scripts/check.sh profile [workload]
 #
 #   fast (default) — build + `ctest -L tier1 -LE slow`: the inner-loop cycle,
 #                    a couple of minutes.
@@ -17,6 +18,11 @@
 #                    over the stress-labeled targets with a small seed budget.
 #   tsan           — only the ThreadSanitizer pass of `full` (its own
 #                    build-tsan tree); CI's tsan job runs exactly this.
+#   profile        — where the simulator's host time goes: builds perfbench
+#                    with -pg (its own build-profile tree), runs one 10 s
+#                    untraced run of `workload` (default tpcc_mix) and prints
+#                    the top of gprof's flat profile. Host timings, so run it
+#                    on a quiet machine.
 #
 # A failing randomized test prints its DRTMR_TEST_SEED; reproduce with
 #   DRTMR_TEST_SEED=<seed> ctest --test-dir build -R <test> --output-on-failure
@@ -28,15 +34,32 @@ CYCLE=fast
 RUN_TSAN=1
 RUN_ASAN=1
 RUN_UBSAN=1
+WORKLOAD=tpcc_mix
 for arg in "$@"; do
   case "$arg" in
-    fast|full|tsan) CYCLE="$arg" ;;
+    fast|full|tsan|profile) CYCLE="$arg" ;;
+    smallbank_local|smallbank_rep_dist|tpcc_mix) WORKLOAD="$arg" ;;
     --no-tsan) RUN_TSAN=0 ;;
     --no-asan) RUN_ASAN=0 ;;
     --no-ubsan) RUN_UBSAN=0 ;;
-    *) echo "usage: scripts/check.sh [fast|full|tsan] [--no-tsan] [--no-asan] [--no-ubsan]" >&2; exit 2 ;;
+    *) echo "usage: scripts/check.sh [fast|full|tsan] [--no-tsan] [--no-asan] [--no-ubsan]" >&2
+       echo "       scripts/check.sh profile [smallbank_local|smallbank_rep_dist|tpcc_mix]" >&2
+       exit 2 ;;
   esac
 done
+
+if [[ "$CYCLE" == profile ]]; then
+  echo "== profile: perfbench $WORKLOAD under gprof (build-profile) =="
+  cmake -S perfbench -B build-profile -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+    -DCMAKE_CXX_FLAGS="-pg" -DCMAKE_EXE_LINKER_FLAGS="-pg"
+  cmake --build build-profile -j "$JOBS" --target drtmr_perfbench
+  # gmon.out lands in the working directory when the process exits.
+  rm -f build-profile/gmon.out
+  (cd build-profile && ./drtmr_perfbench --workload "$WORKLOAD" --seed 1 --seconds 10 --trace 0)
+  gprof -b -p build-profile/drtmr_perfbench build-profile/gmon.out > build-profile/flat.txt
+  head -n 30 build-profile/flat.txt
+  exit 0
+fi
 
 run_tsan() {
   echo "== tsan: stress + concurrency tests under ThreadSanitizer =="

@@ -238,13 +238,14 @@ bool MemoryBus::TxRegisterWrite(ThreadContext* ctx, HtmDesc* self, uint64_t offs
 
 bool MemoryBus::TxCommitApply(ThreadContext* ctx, HtmDesc* self,
                               const std::vector<RedoEntry>& redo) {
-  // Collect the distinct stripes covering every redo byte, lock them all in
-  // sorted order (two concurrent commits therefore cannot deadlock), verify
-  // the transaction is still alive, then apply. Holding every stripe for the
-  // duration makes the commit atomic at line granularity, like real RTM.
+  // Collect the distinct stripes covering every redo byte, kept sorted by
+  // insertion (a region writes a handful of lines), lock them all in
+  // ascending order (two concurrent commits therefore cannot deadlock),
+  // verify the transaction is still alive, then apply. Holding every stripe
+  // for the duration makes the commit atomic at line granularity, like real
+  // RTM.
   uint32_t stripe_ids[kStripes];
   uint32_t n_stripes = 0;
-  bool seen[kStripes] = {};
   uint64_t nlines = 0;
   for (const auto& e : redo) {
     const uint64_t first = LineOf(e.offset);
@@ -252,13 +253,18 @@ bool MemoryBus::TxCommitApply(ThreadContext* ctx, HtmDesc* self,
     nlines += end - first;
     for (uint64_t line = first; line < end; ++line) {
       const uint32_t sid = static_cast<uint32_t>(line & (kStripes - 1));
-      if (!seen[sid]) {
-        seen[sid] = true;
-        stripe_ids[n_stripes++] = sid;
+      uint32_t i = n_stripes;
+      while (i > 0 && stripe_ids[i - 1] > sid) {
+        --i;
       }
+      if (i > 0 && stripe_ids[i - 1] == sid) {
+        continue;
+      }
+      std::memmove(stripe_ids + i + 1, stripe_ids + i, (n_stripes - i) * sizeof(stripe_ids[0]));
+      stripe_ids[i] = sid;
+      ++n_stripes;
     }
   }
-  std::sort(stripe_ids, stripe_ids + n_stripes);
   for (uint32_t i = 0; i < n_stripes; ++i) {
     stripes_[stripe_ids[i]].lock();
   }

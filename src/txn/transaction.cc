@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <utility>
 
 #include "src/chk/history.h"
 #include "src/cluster/membership.h"
@@ -26,6 +27,17 @@ constexpr uint32_t kLockRetries = 6;
 constexpr uint64_t kLockBackoffBaseNs = 200;
 constexpr uint64_t kLockBackoffCapNs = 12'800;
 
+// Access-index slots a Transaction starts with: room for 128 records before
+// the first doubling, which most transactions never reach.
+constexpr size_t kInitialIndexSlots = 256;
+
+size_t IndexHash(const store::Table* table, uint32_t node, uint64_t key) {
+  uint64_t h = key ^ (reinterpret_cast<uintptr_t>(table) << 16) ^ (uint64_t{node} << 56);
+  h ^= h >> 32;
+  h *= 0x9e3779b97f4a7c15ull;
+  return static_cast<size_t>(h ^ (h >> 29));
+}
+
 }  // namespace
 
 Transaction::Transaction(TxnEngine* engine, sim::ThreadContext* ctx)
@@ -34,7 +46,8 @@ Transaction::Transaction(TxnEngine* engine, sim::ThreadContext* ctx)
       self_(engine->cluster()->node(ctx->node_id)),
       rules_(engine->seq_rules()),
       lock_word_(LockWord::Make(ctx->node_id, ctx->worker_id)),
-      fused_(engine->config().fused_seq_lock) {}
+      fused_(engine->config().fused_seq_lock),
+      index_(kInitialIndexSlots) {}
 
 void Transaction::Begin(bool read_only) {
   DRTMR_CHECK(!active_) << "Begin inside an active transaction";
@@ -52,36 +65,60 @@ void Transaction::Begin(bool read_only) {
   write_set_.clear();
   mutations_.clear();
   commit_seq_.clear();
+  index_used_ = 0;
+  if (++index_gen_ == 0) {
+    // The stamp wrapped: slots of a generation 2^32 transactions old would
+    // match again, so free every slot for real.
+    std::fill(index_.begin(), index_.end(), IndexSlot{});
+    index_gen_ = 1;
+  }
 }
 
-AccessEntry* Transaction::FindRead(store::Table* table, uint32_t node, uint64_t key) {
-  for (auto& e : read_set_) {
-    if (e.table == table && e.node == node && e.key == key) {
-      return &e;
+void Transaction::GrowIndex() {
+  const std::vector<IndexSlot> old =
+      std::exchange(index_, std::vector<IndexSlot>(index_.size() * 2));
+  const size_t mask = index_.size() - 1;
+  for (const IndexSlot& s : old) {
+    if (s.gen != index_gen_) {
+      continue;
     }
+    size_t i = IndexHash(s.table, s.node, s.key) & mask;
+    while (index_[i].gen == index_gen_) {
+      i = (i + 1) & mask;
+    }
+    index_[i] = s;
   }
-  return nullptr;
 }
 
-WriteEntry* Transaction::FindWrite(store::Table* table, uint32_t node, uint64_t key) {
-  for (auto& w : write_set_) {
-    if (w.access.table == table && w.access.node == node && w.access.key == key) {
-      return &w;
+Transaction::IndexSlot& Transaction::Track(store::Table* table, uint32_t node, uint64_t key) {
+  const size_t mask = index_.size() - 1;
+  size_t i = IndexHash(table, node, key) & mask;
+  for (; index_[i].gen == index_gen_; i = (i + 1) & mask) {
+    IndexSlot& s = index_[i];
+    if (s.key == key && s.table == table && s.node == node) {
+      return s;
     }
   }
-  return nullptr;
+  if (2 * (index_used_ + 1) > index_.size()) {
+    GrowIndex();
+    return Track(table, node, key);
+  }
+  ++index_used_;
+  index_[i] = IndexSlot{table, key, node, index_gen_, kAbsent, kAbsent};
+  return index_[i];
 }
 
 Status Transaction::Read(store::Table* table, uint32_t node, uint64_t key, void* value_out) {
   DRTMR_CHECK(active_);
+  IndexSlot& slot = Track(table, node, key);
   // Read-your-own-write within the transaction.
-  if (WriteEntry* w = FindWrite(table, node, key); w != nullptr) {
+  if (slot.write != kAbsent) {
     if (value_out != nullptr) {
-      std::memcpy(value_out, w->value.data(), table->value_size());
+      std::memcpy(value_out, write_set_[slot.write].value.data(), table->value_size());
     }
     return Status::kOk;
   }
-  if (AccessEntry* e = FindRead(table, node, key); e != nullptr && value_out == nullptr) {
+  if (slot.read != kAbsent && value_out == nullptr) {
     return Status::kOk;  // already tracked, version-only read
   }
   AccessEntry entry;
@@ -95,7 +132,8 @@ Status Transaction::Read(store::Table* table, uint32_t node, uint64_t key, void*
   if (s != Status::kOk) {
     return s;
   }
-  if (FindRead(table, node, key) == nullptr) {
+  if (slot.read == kAbsent) {
+    slot.read = static_cast<uint32_t>(read_set_.size());
     read_set_.push_back(entry);
   }
   return Status::kOk;
@@ -105,15 +143,16 @@ Status Transaction::Write(store::Table* table, uint32_t node, uint64_t key, cons
   DRTMR_CHECK(active_ && !read_only_);
   ctx_->Charge(engine_->cost()->CopyNs(table->value_size()) +
                engine_->cost()->record_logic_ns / 8);
-  if (WriteEntry* w = FindWrite(table, node, key); w != nullptr) {
-    std::memcpy(w->value.data(), value, table->value_size());
+  IndexSlot& slot = Track(table, node, key);
+  if (slot.write != kAbsent) {
+    std::memcpy(write_set_[slot.write].value.data(), value, table->value_size());
     return Status::kOk;
   }
   WriteEntry w;
   w.value.assign(static_cast<const std::byte*>(value),
                  static_cast<const std::byte*>(value) + table->value_size());
-  if (AccessEntry* e = FindRead(table, node, key); e != nullptr) {
-    w.access = *e;
+  if (slot.read != kAbsent) {
+    w.access = read_set_[slot.read];
     w.blind = false;
   } else {
     // Blind write: fetch the record's location and metadata now so the commit
@@ -131,6 +170,7 @@ Status Transaction::Write(store::Table* table, uint32_t node, uint64_t key, cons
     w.access = entry;
     w.blind = true;
   }
+  slot.write = static_cast<uint32_t>(write_set_.size());
   write_set_.push_back(std::move(w));
   return Status::kOk;
 }
@@ -164,26 +204,34 @@ Status Transaction::ScanLocal(store::Table* table, uint64_t lo, uint64_t hi,
   DRTMR_CHECK(active_);
   DRTMR_CHECK(table->kind() == store::StoreKind::kBTree) << "ScanLocal is for ordered tables";
   // Collect matches from the index first, then read each record through the
-  // consistent local-read path so it lands in the read set.
-  std::vector<uint64_t> keys;
+  // consistent local-read path so it lands in the read set. The buffers are
+  // the previous scan's; a ScanLocal nested in `fn` finds them moved out and
+  // allocates its own.
+  std::vector<uint64_t> keys = std::move(scan_keys_);
+  std::vector<std::byte> value = std::move(scan_value_);
+  keys.clear();
+  value.resize(table->value_size());
   table->btree(ctx_->node_id)->Scan(ctx_, lo, hi, [&](uint64_t key, uint64_t) {
     keys.push_back(key);
     return true;
   });
-  std::vector<std::byte> value(table->value_size());
+  Status result = Status::kOk;
   for (uint64_t key : keys) {
     const Status s = Read(table, ctx_->node_id, key, value.data());
     if (s == Status::kNotFound) {
       continue;  // removed between index scan and record read
     }
     if (s != Status::kOk) {
-      return s;
+      result = s;
+      break;
     }
     if (!fn(key, value.data())) {
       break;
     }
   }
-  return Status::kOk;
+  scan_keys_ = std::move(keys);
+  scan_value_ = std::move(value);
+  return result;
 }
 
 void Transaction::UserAbort() {

@@ -166,8 +166,26 @@ class Transaction : public TxnApi {
   // chk::HistoryRecorder (no-op unless recording is enabled).
   void RecordHistory(bool read_only);
 
-  WriteEntry* FindWrite(store::Table* table, uint32_t node, uint64_t key);
-  AccessEntry* FindRead(store::Table* table, uint32_t node, uint64_t key);
+  // Execution-phase access index: open-addressed (linear probing) from
+  // (table, node, key) to the record's positions in read_set_ and write_set_,
+  // so a Read or Write finds its earlier access in O(1) however large the sets
+  // grow (TPC-C's stock-level and delivery track hundreds of records). Begin()
+  // empties it in O(1) by advancing the generation stamp; slots stamped with
+  // an older generation are free. It doubles at half load.
+  static constexpr uint32_t kAbsent = ~0u;
+  struct IndexSlot {
+    const store::Table* table;
+    uint64_t key;
+    uint32_t node;
+    uint32_t gen;    // the transaction generation that filled the slot
+    uint32_t read;   // read_set_ position, or kAbsent
+    uint32_t write;  // write_set_ position, or kAbsent
+  };
+  // The record's slot, added (with both positions kAbsent) if missing. Valid
+  // until the next Track().
+  IndexSlot& Track(store::Table* table, uint32_t node, uint64_t key);
+  void GrowIndex();
+
   bool IsLocal(uint32_t node) const { return node == ctx_->node_id; }
 
   TxnEngine* engine_;
@@ -185,6 +203,12 @@ class Transaction : public TxnApi {
   std::vector<AccessEntry> read_set_;
   std::vector<WriteEntry> write_set_;
   std::vector<MutationEntry> mutations_;
+  std::vector<IndexSlot> index_;  // power-of-two size
+  uint32_t index_gen_ = 1;
+  size_t index_used_ = 0;
+  // ScanLocal's key list and payload buffer, kept across calls.
+  std::vector<uint64_t> scan_keys_;
+  std::vector<std::byte> scan_value_;
   // Commit-time scratch: the records to lock; the first locked_ are held.
   std::vector<LockTarget> targets_;
   size_t locked_ = 0;

@@ -78,6 +78,9 @@ constexpr uint32_t kLocalReadRetries = 16;
 constexpr uint32_t kSeqlockReadSpins = 256;
 // Max consistency retries for a remote versioned read.
 constexpr uint32_t kRemoteReadRetries = 64;
+// The execution-phase reads copy a record into stack buffers of this size
+// (64 cache lines); every table in the repo is far smaller.
+constexpr size_t kMaxReadBytes = 4096;
 
 // Records an accepted read of `rec` (table[key] at `off` on `node`) in
 // `entry`, and copies its payload out when the caller asked for it.
@@ -107,10 +110,10 @@ Status TxnEngine::ReadLocalRecord(sim::ThreadContext* ctx, store::Table* table, 
     return Status::kNotFound;
   }
   ctx->Charge(cost()->record_logic_ns);
-  stats_.local_reads.fetch_add(1, std::memory_order_relaxed);
 
   const size_t rec_bytes = table->record_bytes();
-  std::vector<std::byte> buf(rec_bytes);
+  DRTMR_CHECK(rec_bytes <= kMaxReadBytes) << "record of " << rec_bytes << " B";
+  alignas(8) std::byte buf[kMaxReadBytes];
 
   // Fig. 5: copy the record inside a small HTM region after checking that no
   // remote committer holds the lock; a locked record is about to change, so
@@ -120,13 +123,13 @@ Status TxnEngine::ReadLocalRecord(sim::ThreadContext* ctx, store::Table* table, 
     if (htm == nullptr) {
       return Status::kInvalid;  // nested inside another HTM region
     }
-    if (htm->Read(off, buf.data(), rec_bytes) != Status::kOk) {
+    if (htm->Read(off, buf, rec_bytes) != Status::kOk) {
       continue;  // conflict abort: immediately retry
     }
-    if (LockWord::IsLocked(RecordLayout::GetLock(buf.data())) ||
-        store::SeqWord::Locked(RecordLayout::GetSeq(buf.data()))) {
+    if (LockWord::IsLocked(RecordLayout::GetLock(buf)) ||
+        store::SeqWord::Locked(RecordLayout::GetSeq(buf))) {
       htm->Abort();
-      if (StealIfOwnerAbsent(ctx, ctx->node_id, off, RecordLayout::GetLock(buf.data()))) {
+      if (StealIfOwnerAbsent(ctx, ctx->node_id, off, RecordLayout::GetLock(buf))) {
         continue;  // passive dangling-lock release (§5.2): the owner crashed
       }
       // Linear jitter keyed to the loop's own attempt index (bit-identical to
@@ -140,7 +143,7 @@ Status TxnEngine::ReadLocalRecord(sim::ThreadContext* ctx, store::Table* table, 
     if (htm->Commit() != Status::kOk) {
       continue;
     }
-    FillAccess(table, ctx->node_id, key, off, buf.data(), value_out, entry);
+    FillAccess(table, ctx->node_id, key, off, buf, value_out, entry);
     return Status::kOk;
   }
 
@@ -150,25 +153,25 @@ Status TxnEngine::ReadLocalRecord(sim::ThreadContext* ctx, store::Table* table, 
   // failed mid-commit or the unlock verb was lost — and waiting for it would
   // hang the reader until a configuration change releases it, so abort the
   // read and let the transaction retry instead.
-  std::vector<std::byte> buf2(rec_bytes);
+  alignas(8) std::byte buf2[kMaxReadBytes];
   bool stable = false;
   for (uint32_t spin = 0; spin < kSeqlockReadSpins; ++spin) {
     if (node->killed()) {
       return Status::kUnavailable;
     }
-    node->bus()->Read(ctx, off, buf.data(), rec_bytes);
-    if (LockWord::IsLocked(RecordLayout::GetLock(buf.data())) ||
-        store::SeqWord::Locked(RecordLayout::GetSeq(buf.data()))) {
-      if (StealIfOwnerAbsent(ctx, ctx->node_id, off, RecordLayout::GetLock(buf.data()))) {
+    node->bus()->Read(ctx, off, buf, rec_bytes);
+    if (LockWord::IsLocked(RecordLayout::GetLock(buf)) ||
+        store::SeqWord::Locked(RecordLayout::GetSeq(buf))) {
+      if (StealIfOwnerAbsent(ctx, ctx->node_id, off, RecordLayout::GetLock(buf))) {
         continue;
       }
       std::this_thread::yield();
       continue;
     }
-    node->bus()->Read(ctx, off, buf2.data(), rec_bytes);
-    if (RecordLayout::GetLock(buf2.data()) == 0 &&
-        RecordLayout::GetSeq(buf.data()) == RecordLayout::GetSeq(buf2.data()) &&
-        std::memcmp(buf.data(), buf2.data(), rec_bytes) == 0) {
+    node->bus()->Read(ctx, off, buf2, rec_bytes);
+    if (RecordLayout::GetLock(buf2) == 0 &&
+        RecordLayout::GetSeq(buf) == RecordLayout::GetSeq(buf2) &&
+        std::memcmp(buf, buf2, rec_bytes) == 0) {
       stable = true;
       break;
     }
@@ -178,11 +181,11 @@ Status TxnEngine::ReadLocalRecord(sim::ThreadContext* ctx, store::Table* table, 
   }
   if (chk::AnalyzerEnabled()) {
     chk::ProtocolAnalyzer::Global().OnSnapshotAccepted(
-        node->bus(), off, RecordLayout::GetSeq(buf.data()), RecordLayout::GetLock(buf.data()),
-        RecordLayout::VersionsConsistent(buf.data(), table->value_size()),
+        node->bus(), off, RecordLayout::GetSeq(buf), RecordLayout::GetLock(buf),
+        RecordLayout::VersionsConsistent(buf, table->value_size()),
         /*lock_checked=*/true);
   }
-  FillAccess(table, ctx->node_id, key, off, buf.data(), value_out, entry);
+  FillAccess(table, ctx->node_id, key, off, buf, value_out, entry);
   return Status::kOk;
 }
 
@@ -192,7 +195,6 @@ Status TxnEngine::ReadRemoteRecord(sim::ThreadContext* ctx, store::Table* table,
   DRTMR_CHECK(table->remote_accessible()) << "ordered tables are local-only";
   cluster::Node* self = cluster_->node(ctx->node_id);
   store::LocationCache* cache = this->cache(ctx->node_id, ctx->worker_id);
-  stats_.remote_reads.fetch_add(1, std::memory_order_relaxed);
 
   uint64_t off = cache->Get(table->id(), node, key);
   bool from_cache = off != 0;
@@ -205,13 +207,14 @@ Status TxnEngine::ReadRemoteRecord(sim::ThreadContext* ctx, store::Table* table,
   }
 
   const size_t rec_bytes = table->record_bytes();
-  std::vector<std::byte> buf(rec_bytes);
+  DRTMR_CHECK(rec_bytes <= kMaxReadBytes) << "record of " << rec_bytes << " B";
+  alignas(8) std::byte buf[kMaxReadBytes];
   for (uint32_t attempt = 0; attempt < kRemoteReadRetries; ++attempt) {
-    const Status s = self->nic()->Read(ctx, node, off, buf.data(), rec_bytes);
+    const Status s = self->nic()->Read(ctx, node, off, buf, rec_bytes);
     if (s != Status::kOk) {
       return s;
     }
-    if (RecordLayout::GetKey(buf.data()) != key) {
+    if (RecordLayout::GetKey(buf) != key) {
       // Stale location-cache hint (record freed/reused): invalidate, re-look.
       if (!from_cache) {
         return Status::kNotFound;
@@ -227,14 +230,14 @@ Status TxnEngine::ReadRemoteRecord(sim::ThreadContext* ctx, store::Table* table,
     }
     // Fig. 6: versions at every line must match the seqnum's low 16 bits or
     // the one-sided READ raced a multi-line write.
-    if (!RecordLayout::VersionsConsistent(buf.data(), table->value_size())) {
+    if (!RecordLayout::VersionsConsistent(buf, table->value_size())) {
       continue;
     }
     // Fig. 8: read-only transactions refuse locked records (the lock means a
     // commit is in flight; an uncommitted value must not be returned).
-    if (check_lock && (LockWord::IsLocked(RecordLayout::GetLock(buf.data())) ||
-                       store::SeqWord::Locked(RecordLayout::GetSeq(buf.data())))) {
-      StealIfOwnerAbsent(ctx, node, off, RecordLayout::GetLock(buf.data()));
+    if (check_lock && (LockWord::IsLocked(RecordLayout::GetLock(buf)) ||
+                       store::SeqWord::Locked(RecordLayout::GetSeq(buf)))) {
+      StealIfOwnerAbsent(ctx, node, off, RecordLayout::GetLock(buf));
       std::this_thread::yield();
       continue;
     }
@@ -242,11 +245,11 @@ Status TxnEngine::ReadRemoteRecord(sim::ThreadContext* ctx, store::Table* table,
       // Re-derives the torn/locked verdicts from the accepted bytes rather
       // than trusting the checks above, so a regression there is caught here.
       chk::ProtocolAnalyzer::Global().OnSnapshotAccepted(
-          cluster_->node(node)->bus(), off, RecordLayout::GetSeq(buf.data()),
-          RecordLayout::GetLock(buf.data()),
-          RecordLayout::VersionsConsistent(buf.data(), table->value_size()), check_lock);
+          cluster_->node(node)->bus(), off, RecordLayout::GetSeq(buf),
+          RecordLayout::GetLock(buf),
+          RecordLayout::VersionsConsistent(buf, table->value_size()), check_lock);
     }
-    FillAccess(table, node, key, off, buf.data(), value_out, entry);
+    FillAccess(table, node, key, off, buf, value_out, entry);
     return Status::kOk;
   }
   return Status::kAborted;

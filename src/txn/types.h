@@ -95,8 +95,6 @@ struct TxnStats {
   std::atomic<uint64_t> fallbacks{0};          // commit took the fallback handler
   std::atomic<uint64_t> htm_commit_retries{0};
   std::atomic<uint64_t> dangling_locks_released{0};
-  std::atomic<uint64_t> remote_reads{0};
-  std::atomic<uint64_t> local_reads{0};
 
   // Aborts caused by the commit protocol itself (lock conflicts, validation
   // failures, epoch fencing, retry timeouts). Excludes user-requested aborts.
@@ -152,8 +150,6 @@ struct TxnStats {
     fallbacks = 0;
     htm_commit_retries = 0;
     dangling_locks_released = 0;
-    remote_reads = 0;
-    local_reads = 0;
   }
 };
 

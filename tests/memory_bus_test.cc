@@ -3,8 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <future>
 #include <thread>
+#include <vector>
 
 #include "src/sim/cost_model.h"
 
@@ -179,6 +184,49 @@ TEST_F(MemoryBusTest, CommitAppliesRedoAtomically) {
   EXPECT_TRUE(bus_.TxCommitApply(&t0, txn, redo));
   EXPECT_EQ(bus_.ReadU64(&t0, 640), 77u);
   EXPECT_EQ(txn->state.load(), HtmDesc::kFree);
+  txn->writes.Clear();
+}
+
+// Line L, line L + 1024 (the same stripe lock) and line L again, written by
+// one region: the commit must take each stripe lock once, or it spins on its
+// own lock forever (the watchdog turns that hang into a failure).
+TEST_F(MemoryBusTest, CommitLocksSharedStripeOnce) {
+  ThreadContext t0 = MakeCtx(0);
+  HtmDesc* txn = bus_.desc(0);
+  txn->state.store(HtmDesc::kActive);
+  constexpr uint64_t kLine = 12;
+  const uint64_t a = kLine * kCacheLineSize;
+  const uint64_t b = (kLine + 1024) * kCacheLineSize + 32;  // spans two lines
+  std::vector<RedoEntry> redo;
+  redo.push_back({a, std::vector<std::byte>(8, std::byte{0x11})});
+  redo.push_back({b, std::vector<std::byte>(64, std::byte{0x22})});
+  redo.push_back({a + 16, std::vector<std::byte>(8, std::byte{0x33})});
+  for (const RedoEntry& e : redo) {
+    ASSERT_TRUE(bus_.TxRegisterWrite(&t0, txn, e.offset, e.data.size()));
+  }
+  std::promise<void> done;
+  std::thread watchdog([finished = done.get_future()] {
+    if (finished.wait_for(std::chrono::seconds(30)) != std::future_status::ready) {
+      std::fprintf(stderr, "TxCommitApply hung: a stripe lock taken twice\n");
+      std::abort();
+    }
+  });
+  const uint64_t before = t0.clock.now_ns();
+  const bool committed = bus_.TxCommitApply(&t0, txn, redo);
+  done.set_value();
+  watchdog.join();
+  EXPECT_TRUE(committed);
+  EXPECT_EQ(t0.clock.now_ns() - before, 4 * cost_.line_access_ns);  // 1 + 2 + 1 lines
+  EXPECT_EQ(txn->state.load(), HtmDesc::kFree);
+  for (const RedoEntry& e : redo) {
+    std::vector<std::byte> got(e.data.size());
+    bus_.Read(&t0, e.offset, got.data(), got.size());
+    EXPECT_EQ(got, e.data) << "offset " << e.offset;
+  }
+  // Every stripe was released: plain accesses to both lines still proceed.
+  bus_.WriteU64(&t0, a + 8, 5);
+  bus_.WriteU64(&t0, (kLine + 1024) * kCacheLineSize, 6);
+  EXPECT_EQ(bus_.ReadU64(&t0, a + 8), 5u);
   txn->writes.Clear();
 }
 

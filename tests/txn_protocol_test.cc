@@ -9,6 +9,7 @@
 #include <thread>
 #include <vector>
 
+#include "src/chk/history.h"
 #include "src/store/record.h"
 #include "src/txn/txn_engine.h"
 #include "tests/lock_state.h"
@@ -57,6 +58,16 @@ class TxnTest : public ::testing::Test {
   ~TxnTest() override { engine_->StopServices(); }
 
   uint32_t HomeOf(uint64_t key) const { return static_cast<uint32_t>(key % 3); }
+
+  // First word of a B-tree row on node 0, read by a read-only transaction.
+  uint64_t RowValue(store::Table* rows, uint64_t key) {
+    Transaction txn(engine_.get(), cluster_->node(0)->context(0));
+    txn.Begin(/*read_only=*/true);
+    uint64_t v[2] = {};
+    EXPECT_EQ(txn.Read(rows, 0, key, v), Status::kOk);
+    EXPECT_EQ(txn.Commit(), Status::kOk);
+    return v[0];
+  }
 
   uint64_t Balance(uint64_t key) {
     sim::ThreadContext* ctx = cluster_->node(0)->context(0);
@@ -494,6 +505,117 @@ TEST_F(TxnTest, BTreeTableScanWithinTxn) {
   }), Status::kOk);
   EXPECT_EQ(t.Commit(), Status::kOk);
   EXPECT_EQ(keys, (std::vector<uint64_t>{20, 30, 40}));
+}
+
+// A local B-tree table of `n` records, key k holding {k, 2k}, loaded by one
+// insert-only transaction.
+store::Table* LoadRows(store::Catalog* catalog, TxnEngine* engine, sim::ThreadContext* ctx,
+                       uint32_t id, uint64_t n) {
+  store::TableOptions opt;
+  opt.value_size = 16;
+  opt.kind = store::StoreKind::kBTree;
+  store::Table* rows = catalog->CreateTable(id, opt);
+  Transaction t(engine, ctx);
+  t.Begin();
+  for (uint64_t k = 1; k <= n; ++k) {
+    const uint64_t v[2] = {k, 2 * k};
+    EXPECT_EQ(t.Insert(rows, ctx->node_id, k, v), Status::kOk);
+  }
+  EXPECT_EQ(t.Commit(), Status::kOk);
+  return rows;
+}
+
+// More distinct records than the access index starts with, so it doubles
+// mid-transaction: re-reads stay one read-set entry each, a buffered write
+// still shadows the stored value, and the next Begin() forgets everything.
+TEST_F(TxnTest, AccessIndexGrowsAndResets) {
+  constexpr uint64_t kRows = 640;
+  sim::ThreadContext* ctx = cluster_->node(0)->context(0);
+  store::Table* rows = LoadRows(catalog_.get(), engine_.get(), ctx, 2, kRows);
+  chk::HistoryRecorder& history = chk::HistoryRecorder::Global();
+  history.Reset();
+  history.Enable(true);
+
+  Transaction txn(engine_.get(), ctx);
+  txn.Begin();
+  uint64_t v[2];
+  const uint64_t mine[2] = {7, 7};
+  ASSERT_EQ(txn.Read(rows, 0, 1, v), Status::kOk);
+  ASSERT_EQ(txn.Write(rows, 0, 1, mine), Status::kOk);
+  for (int pass = 0; pass < 2; ++pass) {
+    for (uint64_t k = 1; k <= kRows; ++k) {
+      ASSERT_EQ(txn.Read(rows, 0, k, v), Status::kOk);
+      EXPECT_EQ(v[0], k == 1 ? 7u : k);
+      ASSERT_EQ(txn.Read(rows, 0, k, nullptr), Status::kOk);
+    }
+  }
+  const uint64_t mine2[2] = {9, 9};
+  ASSERT_EQ(txn.Write(rows, 0, kRows, mine2), Status::kOk);
+  ASSERT_EQ(txn.Read(rows, 0, kRows, v), Status::kOk);
+  EXPECT_EQ(v[0], 9u);
+  ASSERT_EQ(txn.Commit(), Status::kOk);
+  const uint64_t committed_id = txn.id();
+
+  // The same object again: a write aborted here must not leak into the read
+  // after the following Begin(), and each transaction's read set holds only
+  // its own records.
+  txn.Begin();
+  const uint64_t junk[2] = {99, 99};
+  ASSERT_EQ(txn.Write(rows, 0, 5, junk), Status::kOk);
+  txn.UserAbort();
+  txn.Begin();
+  ASSERT_EQ(txn.Read(rows, 0, 5, v), Status::kOk);
+  EXPECT_EQ(v[0], 5u);
+  ASSERT_EQ(txn.Read(rows, 0, 1, nullptr), Status::kOk);
+  ASSERT_EQ(txn.Commit(), Status::kOk);
+  const uint64_t second_id = txn.id();
+
+  history.Enable(false);
+  size_t seen = 0;
+  for (const chk::TxnRec& rec : history.Collect()) {
+    if (rec.txn_id == committed_id) {
+      ++seen;
+      EXPECT_EQ(rec.reads.size(), kRows);
+      EXPECT_EQ(rec.writes.size(), 2u);
+    } else if (rec.txn_id == second_id) {
+      ++seen;
+      EXPECT_EQ(rec.reads.size(), 2u);
+      EXPECT_TRUE(rec.writes.empty());
+    }
+  }
+  EXPECT_EQ(seen, 2u);
+  history.Reset();
+  EXPECT_EQ(RowValue(rows, 1), 7u);
+  EXPECT_EQ(RowValue(rows, kRows), 9u);
+}
+
+// A write to a record read earlier builds on that read (not blind): it must
+// not fetch the record again, so it succeeds even after a concurrent removal,
+// and commit then rejects the stale version. Runs past the index's initial
+// capacity so the lookup goes through a grown index.
+TEST_F(TxnTest, WriteAfterReadIsNotBlind) {
+  constexpr uint64_t kRows = 640;
+  sim::ThreadContext* ctx = cluster_->node(0)->context(0);
+  store::Table* rows = LoadRows(catalog_.get(), engine_.get(), ctx, 2, kRows);
+  Transaction txn(engine_.get(), ctx);
+  txn.Begin();
+  uint64_t v[2];
+  for (uint64_t k = 1; k <= kRows; ++k) {
+    ASSERT_EQ(txn.Read(rows, 0, k, v), Status::kOk);
+  }
+  Transaction remover(engine_.get(), cluster_->node(0)->context(1));
+  remover.Begin();
+  ASSERT_EQ(remover.Remove(rows, 0, 300), Status::kOk);
+  ASSERT_EQ(remover.Commit(), Status::kOk);
+
+  const uint64_t w[2] = {1, 1};
+  EXPECT_EQ(txn.Write(rows, 0, 300, w), Status::kOk);
+  EXPECT_EQ(txn.Commit(), Status::kAborted);
+
+  // The blind path fetches the record, and finds it gone.
+  txn.Begin();
+  EXPECT_EQ(txn.Write(rows, 0, 300, w), Status::kNotFound);
+  txn.UserAbort();
 }
 
 // The canonical serializability stress: concurrent transfers between random
