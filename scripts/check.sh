@@ -7,6 +7,7 @@
 #
 # Usage: scripts/check.sh [fast|full|tsan] [--no-tsan] [--no-asan] [--no-ubsan]
 #        scripts/check.sh profile [workload]
+#        scripts/check.sh kills [N]
 #
 #   fast (default) — build + `ctest -L tier1 -LE slow`: the inner-loop cycle,
 #                    a couple of minutes.
@@ -23,6 +24,14 @@
 #                    untraced run of `workload` (default tpcc_mix) and prints
 #                    the top of gprof's flat profile. Host timings, so run it
 #                    on a quiet machine.
+#   kills          — the no-oracle kill flake/hang count: runs
+#                    `torture_test --gtest_filter='NoOracle/*kill*'` N times
+#                    (default 1000) in nproc parallel loops, each invocation
+#                    under `timeout 60`, and prints failures, hangs and the
+#                    method line a flake count must state. Logs of failing
+#                    and hung invocations stay in build/kills/; export
+#                    DRTMR_TORTURE_DEBUG=1 to capture the harness's stage
+#                    monitor in them.
 #
 # A failing randomized test prints its DRTMR_TEST_SEED; reproduce with
 #   DRTMR_TEST_SEED=<seed> ctest --test-dir build -R <test> --output-on-failure
@@ -35,15 +44,18 @@ RUN_TSAN=1
 RUN_ASAN=1
 RUN_UBSAN=1
 WORKLOAD=tpcc_mix
+KILLS=1000
 for arg in "$@"; do
   case "$arg" in
-    fast|full|tsan|profile) CYCLE="$arg" ;;
+    fast|full|tsan|profile|kills) CYCLE="$arg" ;;
+    [0-9]*) KILLS="$arg" ;;
     smallbank_local|smallbank_rep_dist|tpcc_mix) WORKLOAD="$arg" ;;
     --no-tsan) RUN_TSAN=0 ;;
     --no-asan) RUN_ASAN=0 ;;
     --no-ubsan) RUN_UBSAN=0 ;;
     *) echo "usage: scripts/check.sh [fast|full|tsan] [--no-tsan] [--no-asan] [--no-ubsan]" >&2
        echo "       scripts/check.sh profile [smallbank_local|smallbank_rep_dist|tpcc_mix]" >&2
+       echo "       scripts/check.sh kills [N]" >&2
        exit 2 ;;
   esac
 done
@@ -59,6 +71,51 @@ if [[ "$CYCLE" == profile ]]; then
   gprof -b -p build-profile/drtmr_perfbench build-profile/gmon.out > build-profile/flat.txt
   head -n 30 build-profile/flat.txt
   exit 0
+fi
+
+if [[ "$CYCLE" == kills ]]; then
+  cmake -B build -S . > /dev/null
+  cmake --build build -j "$JOBS" --target torture_test
+  LOGS=build/kills
+  rm -rf "$LOGS"
+  mkdir -p "$LOGS"
+  PINNED=no
+  if [[ "$(nproc)" -lt "$(nproc --all)" ]]; then
+    PINNED="yes ($(nproc) of $(nproc --all) cpus)"
+  fi
+  echo "== kills: NoOracle/*kill* x$KILLS in $JOBS parallel loops =="
+  for ((loop = 0; loop < JOBS; ++loop)); do
+    (
+      for ((i = loop; i < KILLS; i += JOBS)); do
+        rc=0
+        timeout 60 ./build/tests/torture_test --gtest_filter='NoOracle/*kill*' \
+          > "$LOGS/$i.log" 2>&1 || rc=$?
+        echo "$i $rc" >> "$LOGS/rc.$loop"
+        if [[ "$rc" == 0 ]]; then
+          rm -f "$LOGS/$i.log"
+        fi
+      done
+    ) &
+  done
+  wait
+  FAILED=0
+  HUNG=0
+  while read -r i rc; do
+    if [[ "$rc" == 124 ]]; then
+      HUNG=$((HUNG + 1))
+      echo "hang: invocation $i ($LOGS/$i.log)"
+    else
+      FAILED=$((FAILED + 1))
+      echo "failure: invocation $i (exit $rc, $LOGS/$i.log)"
+      grep -hE '^\[  FAILED  \]|Failure|lost update|failed to settle' "$LOGS/$i.log" | head -n 5
+    fi
+  done < <(cat "$LOGS"/rc.* | awk '$2 != 0')
+  echo "kills: $FAILED failures, $HUNG hangs in $KILLS invocations"
+  echo "method: $JOBS parallel loops, $KILLS invocations of 'NoOracle/*kill*'," \
+    "timeout 60 s each, pinned: $PINNED," \
+    "build type $(sed -n 's/^CMAKE_BUILD_TYPE:STRING=//p' build/CMakeCache.txt)"
+  [[ "$FAILED" == 0 && "$HUNG" == 0 ]]
+  exit
 fi
 
 run_tsan() {

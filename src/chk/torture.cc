@@ -618,14 +618,10 @@ TortureResult RunTorture(const TortureOptions& opt) {
   if (opt.no_oracle) {
     // Nothing here tells the membership layer what the plan did: detection,
     // fencing, re-hosting and rejoin all already happened (or are happening)
-    // on its own threads. Formalize the kill (the victim's workers parked
-    // before the instant; the plan already made it unreachable), then wait in
-    // real time — virtual time keeps advancing through the membership
-    // threads — until the view settles: every live node a member, the victim
-    // out, and every suspicion matched by a completed recovery.
-    if (result.killed) {
-      cluster.Kill(victim);
-    }
+    // on its own threads. Wait in real time — virtual time keeps advancing
+    // through the membership threads — until the view settles: every live
+    // node a member, the victim out, and every suspicion matched by a
+    // completed recovery.
     // drtmr-lint: allow(wallclock): settle-wait watchdog on real membership threads
     const auto wait_deadline = std::chrono::steady_clock::now() + std::chrono::seconds(60);
     bool settled = false;
@@ -646,6 +642,10 @@ TortureResult RunTorture(const TortureOptions& opt) {
         break;
       }
       std::this_thread::yield();
+    }
+    // Teardown, not an announcement: the settled view already left it out.
+    if (result.killed) {
+      cluster.Kill(victim);
     }
     result.suspicions = membership->suspicions();
     result.epoch_changes = membership->epoch_changes();

@@ -120,6 +120,7 @@ Status MigrationManager::CopyPass(uint32_t partition, uint32_t src, uint32_t dst
   sim::ThreadContext* dctx = ctx_of(dst);
   sim::RdmaNic* nic = cluster->node(dst)->nic();
   const bool rep = engine_->config().replication;
+  cluster::ClusterView view;
 
   for (store::Table* table : spec_.tables) {
     DRTMR_CHECK(table->kind() == store::StoreKind::kHash)
@@ -207,7 +208,7 @@ Status MigrationManager::CopyPass(uint32_t partition, uint32_t src, uint32_t dst
     std::vector<std::pair<uint64_t, uint64_t>> retry;
     for (size_t e = 0; e < extents.size();) {
       PaceToWorkers(dctx);
-      if (cluster->node(src)->killed() || cluster->node(dst)->killed()) {
+      if (view = coordinator_->view(); !view.Contains(src) || !view.Contains(dst)) {
         return Status::kUnavailable;
       }
       // One window: consecutive extents up to the fence granularity.
@@ -254,7 +255,7 @@ Status MigrationManager::CopyPass(uint32_t partition, uint32_t src, uint32_t dst
     std::vector<std::byte> image(rec_bytes);
     for (const auto& [key, off] : retry) {
       PaceToWorkers(dctx);
-      if (cluster->node(src)->killed() || cluster->node(dst)->killed()) {
+      if (view = coordinator_->view(); !view.Contains(src) || !view.Contains(dst)) {
         return Status::kUnavailable;
       }
       util::Backoff backoff = util::Backoff::Exponential(200, 800, /*max_shift=*/6);
@@ -340,8 +341,9 @@ MigrationReport MigrationManager::MigratePartition(uint32_t partition, uint32_t 
   // Write safety depends on epoch fencing: without it, a transaction that
   // routed its writes before the flip could commit them on the old home
   // after the drain window closes. Refuse rather than migrate unsafely.
+  cluster::ClusterView view = coordinator_->view();
   if (!engine_->fencing() || src == dst || pmap_->migrating(partition) ||
-      cluster->node(src)->killed() || cluster->node(dst)->killed()) {
+      !view.Contains(src) || !view.Contains(dst)) {
     r.status = Status::kInvalid;
     return r;
   }
@@ -380,7 +382,7 @@ MigrationReport MigrationManager::MigratePartition(uint32_t partition, uint32_t 
     Rollback(partition, &r, Status::kTimeout);
     return r;
   }
-  if (cluster->node(src)->killed() || cluster->node(dst)->killed()) {
+  if (view = coordinator_->view(); !view.Contains(src) || !view.Contains(dst)) {
     Rollback(partition, &r, Status::kUnavailable);
     return r;
   }
@@ -400,7 +402,7 @@ MigrationReport MigrationManager::MigratePartition(uint32_t partition, uint32_t 
   if (hooks_.on_dual_home) {
     hooks_.on_dual_home();
   }
-  if (cluster->node(src)->killed() || cluster->node(dst)->killed()) {
+  if (view = coordinator_->view(); !view.Contains(src) || !view.Contains(dst)) {
     Rollback(partition, &r, Status::kUnavailable);
     return r;
   }

@@ -31,9 +31,9 @@
 //      raised, fencing transactions that began under the old placement;
 //      in-flight commits are drained once more; then the write block closes.
 //
-// Fault tolerance: the source or destination dying mid-flight (reads return
-// kUnavailable / killed() observed at pass boundaries) or losing the cutover
-// CAS rolls the migration back cleanly — block closed, migrating flag
+// Fault tolerance: the source or destination failing mid-flight (a verb to
+// either returns kUnavailable, or the view drops either) or losing the
+// cutover CAS rolls the migration back cleanly — block closed, migrating flag
 // cleared, destination-side copies left as harmless freshest-wins debris
 // unreachable through the partition map. A frozen coordinator driver merely
 // stalls the epoch bump; the moving shard degrades to read-only (bounded

@@ -16,20 +16,23 @@ RecoveryReport RecoveryManager::RecoverAfterFailure(sim::ThreadContext* ctx, uin
                                                     cluster::PartitionMap* pmap) {
   RecoveryReport report;
   cluster::Cluster* cluster = engine_->cluster();
-  DRTMR_CHECK(host != dead && !cluster->node(host)->killed());
 
   // 1) The configuration no longer contains the dead machine (the lease
   //    reconfiguration already ran, or we enforce it here).
   if (coordinator_->view().Contains(dead)) {
     coordinator_->Remove(dead);
   }
+  const cluster::ClusterView view = coordinator_->view();
+  DRTMR_CHECK(view.Contains(host)) << "recovery host " << host << " is not a member";
 
-  // 2) Drain pending log slots on every survivor. Slots written by the dead
-  //    machine before it failed are durable in NVM and must be applied (the
-  //    transaction reached its commit point once R.1 completed).
+  // 2) Drain pending log slots on every other machine, members or not: NVM
+  //    outlives reachability, and after overlapping removals a non-member
+  //    may hold a partition's only backups (DESIGN.md §10). Slots written by
+  //    the dead machine before it failed are durable in NVM and must be
+  //    applied (the transaction reached its commit point once R.1 completed).
   const uint64_t applied_before = replicator_->entries_applied();
   for (uint32_t n = 0; n < cluster->num_nodes(); ++n) {
-    if (n == dead || cluster->node(n)->killed()) {
+    if (n == dead) {
       continue;
     }
     replicator_->DrainNode(ctx, n);
@@ -47,7 +50,7 @@ RecoveryReport RecoveryManager::RecoverAfterFailure(sim::ThreadContext* ctx, uin
   store::Catalog* catalog = engine_->catalog();
   sim::ThreadContext* host_ctx = cluster->node(host)->tool_context();
   for (uint32_t n = 0; n < cluster->num_nodes(); ++n) {
-    if (n == dead || cluster->node(n)->killed()) {
+    if (n == dead) {
       continue;
     }
     // Snapshot, not ForEach: the patch path below spins on record locks, and
@@ -80,8 +83,8 @@ RecoveryReport RecoveryManager::RecoverAfterFailure(sim::ThreadContext* ctx, uin
         }
         continue;
       }
-      if (cluster->node(k.primary)->killed()) {
-        continue;
+      if (!view.Contains(k.primary)) {
+        continue;  // an earlier victim: its own recovery re-hosted the record
       }
       // Patch a surviving primary that missed its write-back: the log holds a
       // newer image than the record (writer crashed between R.1 and C.5).
@@ -95,9 +98,9 @@ RecoveryReport RecoveryManager::RecoverAfterFailure(sim::ThreadContext* ctx, uin
       if (log_seq <= cur_seq) {
         continue;
       }
-      // Take the record's lock (or steal it from the dead owner) so live
-      // transactions keep away while we splice the image in. The lock word
-      // names (host, 63) rather than the driver context, so pin the actor.
+      // Take the record's lock (or steal it from an owner outside the view,
+      // re-read per spin) so live transactions keep away while we splice the
+      // image in. The lock word names (host, 63), so pin the actor.
       const uint64_t rec_lock = LockWord::Make(host, 63);
       chk::ScopedActor actor(host, 63);
       while (true) {
@@ -105,7 +108,7 @@ RecoveryReport RecoveryManager::RecoverAfterFailure(sim::ThreadContext* ctx, uin
         if (bus->CasU64(ctx, off + RecordLayout::kLockOff, LockWord::kUnlocked, rec_lock, &obs)) {
           break;
         }
-        if (LockWord::OwnerNode(obs) == dead) {
+        if (!coordinator_->view().Contains(LockWord::OwnerNode(obs))) {
           if (chk::AnalyzerEnabled()) {
             chk::ProtocolAnalyzer::Global().NoteDanglingSteal(bus, off, obs);
           }

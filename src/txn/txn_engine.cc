@@ -102,9 +102,6 @@ void FillAccess(store::Table* table, uint32_t node, uint64_t key, uint64_t off,
 Status TxnEngine::ReadLocalRecord(sim::ThreadContext* ctx, store::Table* table, uint64_t key,
                                   void* value_out, AccessEntry* entry) {
   cluster::Node* node = cluster_->node(ctx->node_id);
-  if (node->killed()) {
-    return Status::kUnavailable;  // fail-stop: wind the thread down
-  }
   const uint64_t off = table->Lookup(ctx, ctx->node_id, key);
   if (off == 0) {
     return Status::kNotFound;
@@ -156,9 +153,6 @@ Status TxnEngine::ReadLocalRecord(sim::ThreadContext* ctx, store::Table* table, 
   alignas(8) std::byte buf2[kMaxReadBytes];
   bool stable = false;
   for (uint32_t spin = 0; spin < kSeqlockReadSpins; ++spin) {
-    if (node->killed()) {
-      return Status::kUnavailable;
-    }
     node->bus()->Read(ctx, off, buf, rec_bytes);
     if (LockWord::IsLocked(RecordLayout::GetLock(buf)) ||
         store::SeqWord::Locked(RecordLayout::GetSeq(buf))) {
@@ -295,8 +289,8 @@ bool TxnEngine::StealIfOwnerAbsent(sim::ThreadContext* ctx, uint32_t node, uint6
 namespace {
 
 // Virtual-time budget a mutation RPC waits for its reply before surfacing
-// kTimeout (the host may be partitioned rather than dead, in which case the
-// fabric's alive() check alone would spin forever).
+// kTimeout: a host that is partitioned or dead but still in the installed
+// view never replies, and only a configuration change will say so.
 constexpr uint64_t kMutateReplyBudgetNs = 200'000;
 
 }  // namespace
@@ -374,9 +368,8 @@ Status TxnEngine::Mutate(sim::ThreadContext* ctx, const MutationEntry& m) {
   if (s != Status::kOk) {
     return s;
   }
-  // Poll for the matching reply; bail out if the target machine dies or the
-  // virtual-time budget runs out (a partitioned host never replies, and only
-  // a configuration change will say so — don't hang the worker until then).
+  // Poll for the matching reply; bail out once the installed view drops the
+  // target machine or the virtual-time budget runs out.
   const uint64_t deadline_ns = ctx->clock.now_ns() + kMutateReplyBudgetNs;
   sim::Message reply;
   while (true) {
@@ -389,7 +382,7 @@ Status TxnEngine::Mutate(sim::ThreadContext* ctx, const MutationEntry& m) {
       }
       continue;  // stale reply from an earlier timed-out RPC
     }
-    if (!cluster_->fabric()->alive(m.node)) {
+    if (coordinator_ != nullptr && !coordinator_->view().Contains(m.node)) {
       return Status::kUnavailable;
     }
     if (ctx->clock.now_ns() >= deadline_ns) {

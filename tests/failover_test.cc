@@ -272,6 +272,50 @@ TEST_F(FailoverTest, SurvivorUnlockBetweenMemberStampsIsAdmitted) {
   ExpectPartitionUnlocked(0);
 }
 
+// The installed view, not the simulator, says who is dead. Node 1 dies
+// through the fault plan alone (nobody calls Cluster::Kill) and is removed
+// and recovered. A survivor's unlock into its memory was lost, so one of its
+// records still carries node 0's lock, and a survivor's backup ring holds a
+// newer image of that record under primary 1. When healthy node 3 is removed
+// next, its recovery must skip node 1's records: node 1 is outside the view,
+// so patching it would spin on a lock nobody will ever release.
+TEST_F(FailoverTest, SecondRemovalSkipsAnEarlierVictimsMemory) {
+  MembershipConfig mcfg;
+  mcfg.lease_ns = 1'000'000'000;
+  Build(/*nodes=*/4, /*keys_per_node=*/2, mcfg, /*join_lease_ns=*/~0ull >> 2);
+  membership_->Arm();
+  sim::FaultPlan plan(/*seed=*/7);
+  plan.KillAt(1, 0);
+  cluster_->SetFaultPlan(&plan);
+  coordinator_->Remove(1);
+  membership_->TickDriver();
+  ASSERT_EQ(membership_->recoveries(), 1u);
+
+  sim::MemoryBus* bus = cluster_->node(1)->bus();
+  const uint64_t off = table_->hash(1)->Lookup(nullptr, KeyOf(1, 0));
+  const uint64_t survivor_lock = store::LockWord::Make(0, 0);
+  uint64_t observed = 0;
+  ASSERT_TRUE(bus->CasU64(nullptr, off + RecordLayout::kLockOff, store::LockWord::kUnlocked,
+                          survivor_lock, &observed));
+  std::vector<std::byte> img(table_->record_bytes());
+  bus->Read(nullptr, off, img.data(), img.size());
+  const uint64_t seq = RecordLayout::GetSeq(img.data());
+  RecordLayout::SetLock(img.data(), store::LockWord::kUnlocked);
+  RecordLayout::SetSeq(img.data(), seq + 2);
+  RecordLayout::SetVersions(img.data(), sizeof(Cell), seq + 2);
+  replicator_->SeedBackup(/*backup_node=*/2, kTableId, /*primary=*/1, KeyOf(1, 0), img.data(),
+                          img.size());
+
+  coordinator_->Remove(3);
+  membership_->TickDriver();  // recovers node 3 on node 0; must not spin on node 1
+  EXPECT_EQ(membership_->recoveries(), 2u);
+  EXPECT_EQ(bus->ReadU64(nullptr, off + RecordLayout::kSeqOff), seq);
+  EXPECT_EQ(bus->ReadU64(nullptr, off + RecordLayout::kLockOff), survivor_lock);
+  EXPECT_EQ(TryDeposit(cluster_->node(0)->context(0), 3, 0, 5), Status::kOk);
+  EXPECT_EQ(ReadValue(3, 0), kInitialBalance + 5);
+  cluster_->SetFaultPlan(nullptr);
+}
+
 // Full autonomous round-trip under a transient freeze: the victim's heartbeat
 // verbs stall past the fault window, its lease expires, the driver removes
 // it, re-hosts its partition, and stamps the new epoch — then the thaw lets

@@ -349,7 +349,10 @@ TEST_F(MigrationTest, DualHomeWindowServesNewestFromEitherHome) {
 TEST_F(MigrationTest, SourceKilledMidFlightRollsBack) {
   Build(/*nodes=*/3, /*keys_per_node=*/6);
   MigrationHooks hooks;
-  hooks.on_dual_home = [&] { cluster_->Kill(1); };
+  hooks.on_dual_home = [&] {
+    cluster_->Kill(1);
+    coordinator_->Remove(1);  // announced, as the membership layer would
+  };
   migrator_->set_hooks(hooks);
 
   const MigrationReport r = migrator_->MigratePartition(1, 2);
@@ -377,7 +380,10 @@ TEST_F(MigrationTest, SourceKilledMidFlightRollsBack) {
 TEST_F(MigrationTest, DestinationKilledMidFlightRollsBack) {
   Build(/*nodes=*/3, /*keys_per_node=*/6);
   MigrationHooks hooks;
-  hooks.on_dual_home = [&] { cluster_->Kill(2); };
+  hooks.on_dual_home = [&] {
+    cluster_->Kill(2);
+    coordinator_->Remove(2);  // announced, as the membership layer would
+  };
   migrator_->set_hooks(hooks);
 
   const MigrationReport r = migrator_->MigratePartition(1, 2);
@@ -423,6 +429,7 @@ TEST_F(MigrationTest, RefusesUnsafeOrNonsensicalMoves) {
   EXPECT_EQ(migrator_->MigratePartition(2, 0).status, Status::kInvalid);  // already moving
   pmap_->SetMigrating(2, false);
   cluster_->Kill(0);
+  coordinator_->Remove(0);  // announced, as the membership layer would
   EXPECT_EQ(migrator_->MigratePartition(2, 0).status, Status::kInvalid);  // dead destination
   EXPECT_EQ(migrator_->MigratePartition(0, 2).status, Status::kInvalid);  // dead source
   EXPECT_EQ(migrator_->migrations_started(), 0u);

@@ -421,6 +421,34 @@ TEST_F(TxnTest, DanglingLockReleasedWhenOwnerAbsent) {
   ExpectNoLocksHeld(cluster_.get(), accounts_, {18, 19});
 }
 
+TEST_F(TxnTest, MutateToRemovedReachableNodeIsUnavailableAtOnce) {
+  // The installed view is the liveness authority: once it drops the host, a
+  // mutation RPC gives up even though the fabric still delivers to it (a
+  // removed node may never reply). No service thread runs, so no reply comes.
+  engine_->StopServices();
+  cluster::Coordinator coord;
+  for (uint32_t n = 0; n < 3; ++n) {
+    coord.Join(n, 0, 1000000);
+  }
+  TxnEngine engine(cluster_.get(), catalog_.get(), TxnConfig{}, &coord);
+  coord.Remove(2);
+  ASSERT_TRUE(cluster_->fabric()->alive(2));
+
+  Account a{42, {}};
+  MutationEntry m;
+  m.op = MutationEntry::Op::kInsert;
+  m.table = accounts_;
+  m.node = 2;
+  m.key = 302;
+  m.value.resize(sizeof(a));
+  std::memcpy(m.value.data(), &a, sizeof(a));
+  sim::ThreadContext* ctx = cluster_->node(0)->context(0);
+  const uint64_t start_ns = ctx->clock.now_ns();
+  EXPECT_EQ(engine.Mutate(ctx, m), Status::kUnavailable);
+  // Far below the 200 us reply budget a view member would be granted.
+  EXPECT_LT(ctx->clock.now_ns() - start_ns, 20'000u);
+}
+
 TEST_F(TxnTest, InsertAndRemoveLocal) {
   sim::ThreadContext* ctx = cluster_->node(0)->context(0);
   Transaction txn(engine_.get(), ctx);
