@@ -132,13 +132,16 @@ run_tsan() {
   # strategies; fabric_test and fault_test the verb admission path every
   # thread shares; torture_test and protocol_analyzer_test the
   # analyzer-enabled torture seeds; failover_test, migration_test and
-  # GroupCommitNoOracle the epoch install's threaded stamp and drain.
+  # GroupCommitNoOracle the epoch install's threaded stamp and drain;
+  # memory_bus_test and htm_test the bus's per-stripe conflict directory and
+  # the per-slot HTM counters that stats() sums while regions run.
   cmake --build build-tsan -j "$JOBS" --target \
     obs_test obs_harness_test virtual_time_test workload_test torture_test \
     protocol_analyzer_test cluster_test rep_batching_test fallback_test fused_lock_test \
-    txn_protocol_test fabric_test fault_test failover_test migration_test
+    txn_protocol_test fabric_test fault_test failover_test migration_test \
+    memory_bus_test htm_test
   ctest --test-dir build-tsan --output-on-failure -j "$JOBS" \
-    -R 'Histogram|ObsRegistry|ObsHarness|SimResourceBackfill|TimeGate|Workload|ProtocolAnalyzer|Node\.|RepBatching|Fallback|FusedLock|FusedInterleave|^TxnTest|LockedReadSet|Fabric|FaultPlan|PostedVerb|FailoverTest|MigrationTest|GroupCommitNoOracle'
+    -R 'Histogram|ObsRegistry|ObsHarness|SimResourceBackfill|TimeGate|Workload|ProtocolAnalyzer|Node\.|RepBatching|Fallback|FusedLock|FusedInterleave|^TxnTest|LockedReadSet|Fabric|FaultPlan|PostedVerb|FailoverTest|MigrationTest|GroupCommitNoOracle|MemoryBus|LineSet|HtmTest'
   # Sanitized runs are ~10x slower: keep the sweep to one seed per shape.
   DRTMR_TORTURE_SEEDS=1 ctest --test-dir build-tsan --output-on-failure -j "$JOBS" -L stress
 }

@@ -389,22 +389,22 @@ void ProtocolAnalyzer::OnCas(const sim::MemoryBus* bus, const sim::ThreadContext
 }
 
 void ProtocolAnalyzer::OnTxCommitApply(const sim::MemoryBus* bus, const sim::ThreadContext* ctx,
-                                       const std::vector<sim::RedoEntry>& redo) {
+                                       const sim::RedoLog& redo) {
   BusShadow* bs = FindBus(bus);
   if (bs == nullptr) {
     return;
   }
   const Actor actor = CurrentActor(ctx);
   std::shared_lock lk(bs->map_mu);
-  for (const auto& e : redo) {
+  for (const sim::RedoLog::Entry& e : redo.entries()) {
     auto it = bs->records.upper_bound(e.offset);
     if (it != bs->records.begin()) {
       --it;
     }
-    for (; it != bs->records.end() && it->second->start < e.offset + e.data.size(); ++it) {
+    for (; it != bs->records.end() && it->second->start < e.offset + e.len; ++it) {
       RecordShadow* rec = it->second.get();
       if (e.offset < rec->start + rec->bytes) {
-        ApplyStore(rec, actor, e.offset, e.data.data(), e.data.size(), /*transactional=*/true);
+        ApplyStore(rec, actor, e.offset, redo.data(e), e.len, /*transactional=*/true);
       }
     }
   }

@@ -49,7 +49,7 @@
 namespace drtmr::sim {
 class MemoryBus;
 struct HtmDesc;
-struct RedoEntry;
+class RedoLog;
 struct ThreadContext;
 }  // namespace drtmr::sim
 
@@ -158,10 +158,12 @@ class ProtocolAnalyzer {
   void OnCas(const sim::MemoryBus* bus, const sim::ThreadContext* ctx, uint64_t offset,
              uint64_t expected, uint64_t desired, uint64_t observed, bool swapped);
   void OnTxCommitApply(const sim::MemoryBus* bus, const sim::ThreadContext* ctx,
-                       const std::vector<sim::RedoEntry>& redo);
+                       const sim::RedoLog& redo);
   // Called after a non-transactional access to `line` has doomed conflicting
   // regions: any still-active conflicting region is a strong-atomicity breach.
-  // Runs under the bus stripe; touches only HtmDesc atomics.
+  // Runs under the bus stripe; touches only HtmDesc atomics. It walks every
+  // descriptor rather than the bus's per-stripe conflict directory, so a
+  // doom the directory missed shows up here.
   void CheckStrongAtomicity(sim::MemoryBus* bus, uint64_t line, bool is_write,
                             const sim::HtmDesc* self);
   // A fabric verb was issued inside an HTM region; `aborted` reports whether

@@ -32,23 +32,25 @@ HtmTxn* HtmEngine::Begin(ThreadContext* ctx, obs::HtmSite site) {
   return txn;
 }
 
-void HtmEngine::RecordAbort(HtmTxn::AbortCode code) {
-  switch (code) {
-    case HtmTxn::AbortCode::kConflict:
-      stats_.aborts_conflict.fetch_add(1, std::memory_order_relaxed);
-      break;
-    case HtmTxn::AbortCode::kCapacity:
-      stats_.aborts_capacity.fetch_add(1, std::memory_order_relaxed);
-      break;
-    case HtmTxn::AbortCode::kExplicit:
-      stats_.aborts_explicit.fetch_add(1, std::memory_order_relaxed);
-      break;
-    case HtmTxn::AbortCode::kIo:
-      stats_.aborts_io.fetch_add(1, std::memory_order_relaxed);
-      break;
-    case HtmTxn::AbortCode::kNone:
-      break;
+HtmEngine::Stats& HtmEngine::stats() {
+  uint64_t begins = 0;
+  uint64_t commits = 0;
+  uint64_t aborts[HtmTxn::kAbortCodes] = {};
+  for (const HtmTxn* t : txns_) {
+    begins += t->counters_.begins.load(std::memory_order_relaxed);
+    commits += t->counters_.commits.load(std::memory_order_relaxed);
+    for (size_t code = 0; code < HtmTxn::kAbortCodes; ++code) {
+      aborts[code] += t->counters_.aborts[code].load(std::memory_order_relaxed);
+    }
   }
+  auto aborted = [&aborts](HtmTxn::AbortCode code) { return aborts[static_cast<size_t>(code)]; };
+  stats_.begins = begins;
+  stats_.commits = commits;
+  stats_.aborts_conflict = aborted(HtmTxn::AbortCode::kConflict);
+  stats_.aborts_capacity = aborted(HtmTxn::AbortCode::kCapacity);
+  stats_.aborts_explicit = aborted(HtmTxn::AbortCode::kExplicit);
+  stats_.aborts_io = aborted(HtmTxn::AbortCode::kIo);
+  return stats_;
 }
 
 void HtmTxn::BeginInternal(ThreadContext* ctx, obs::HtmSite site) {
@@ -56,11 +58,11 @@ void HtmTxn::BeginInternal(ThreadContext* ctx, obs::HtmSite site) {
   in_txn_ = true;
   site_ = site;
   last_abort_ = AbortCode::kNone;
-  redo_.clear();
+  redo_.Clear();
   desc_->doom_code.store(HtmDesc::kNone, std::memory_order_relaxed);
   desc_->state.store(HtmDesc::kActive, std::memory_order_release);
   ctx->current_htm = this;
-  engine_->stats_.begins.fetch_add(1, std::memory_order_relaxed);
+  Bump(counters_.begins);
   ctx->Charge(engine_->cost_->htm_begin_ns * bus_->cost_scale_pct() / 100);
 }
 
@@ -78,7 +80,7 @@ void HtmTxn::End(bool committed) {
         last_abort_ = AbortCode::kConflict;
       }
     }
-    engine_->RecordAbort(last_abort_);
+    Bump(counters_.aborts[static_cast<size_t>(last_abort_)]);
     if (obs::Enabled()) {
       obs::Registry& reg = obs::Registry::Global();
       reg.AddHtmAbort(static_cast<uint32_t>(last_abort_), site_);
@@ -90,13 +92,13 @@ void HtmTxn::End(bool committed) {
     }
     ctx_->Charge(engine_->cost_->htm_abort_ns * bus_->cost_scale_pct() / 100);
   } else {
-    engine_->stats_.commits.fetch_add(1, std::memory_order_relaxed);
+    Bump(counters_.commits);
     ctx_->Charge(engine_->cost_->htm_commit_ns * bus_->cost_scale_pct() / 100);
   }
   desc_->state.store(HtmDesc::kFree, std::memory_order_release);
   desc_->reads.Clear();
   desc_->writes.Clear();
-  redo_.clear();
+  redo_.Clear();
   ctx_->current_htm = nullptr;
   in_txn_ = false;
   ctx_ = nullptr;
@@ -104,11 +106,11 @@ void HtmTxn::End(bool committed) {
 
 void HtmTxn::OverlayRedo(uint64_t offset, void* dst, size_t len) const {
   auto* out = static_cast<std::byte*>(dst);
-  for (const auto& e : redo_) {
+  for (const RedoLog::Entry& e : redo_.entries()) {
     const uint64_t lo = std::max(offset, e.offset);
-    const uint64_t hi = std::min(offset + len, e.offset + e.data.size());
+    const uint64_t hi = std::min(offset + len, e.offset + e.len);
     if (lo < hi) {
-      std::memcpy(out + (lo - offset), e.data.data() + (lo - e.offset), hi - lo);
+      std::memcpy(out + (lo - offset), redo_.data(e) + (lo - e.offset), hi - lo);
     }
   }
 }
@@ -165,10 +167,7 @@ Status HtmTxn::Write(uint64_t offset, const void* src, size_t len) {
     Abort(AbortCode::kCapacity);
     return Status::kAborted;
   }
-  RedoEntry e;
-  e.offset = offset;
-  e.data.assign(static_cast<const std::byte*>(src), static_cast<const std::byte*>(src) + len);
-  redo_.push_back(std::move(e));
+  redo_.Append(offset, src, len);
   return Status::kOk;
 }
 

@@ -69,6 +69,19 @@ class HtmTxn {
   // Copies buffered bytes overlapping [offset, offset+len) over dst.
   void OverlayRedo(uint64_t offset, void* dst, size_t len) const;
 
+  // This slot's region counts. Only the slot's own thread bumps them;
+  // HtmEngine::stats() sums them. A cache line of their own keeps the summing
+  // reader off the owner's hot fields and every slot off its neighbours'.
+  static constexpr size_t kAbortCodes = static_cast<size_t>(AbortCode::kIo) + 1;
+  struct alignas(kCacheLineSize) Counters {
+    std::atomic<uint64_t> begins{0};
+    std::atomic<uint64_t> commits{0};
+    std::atomic<uint64_t> aborts[kAbortCodes] = {};  // indexed by AbortCode; kNone unused
+  };
+  static void Bump(std::atomic<uint64_t>& c) {
+    c.store(c.load(std::memory_order_relaxed) + 1, std::memory_order_relaxed);
+  }
+
   HtmEngine* engine_;
   MemoryBus* bus_;
   HtmDesc* desc_;
@@ -76,7 +89,8 @@ class HtmTxn {
   bool in_txn_ = false;
   AbortCode last_abort_ = AbortCode::kNone;
   obs::HtmSite site_ = obs::HtmSite::kOther;  // call site, keys the abort taxonomy
-  std::vector<RedoEntry> redo_;
+  RedoLog redo_;
+  Counters counters_;
 };
 
 class HtmEngine {
@@ -104,7 +118,10 @@ class HtmEngine {
   // `site` tags the region for the observability abort taxonomy (§6.4).
   HtmTxn* Begin(ThreadContext* ctx, obs::HtmSite site = obs::HtmSite::kOther);
 
-  Stats& stats() { return stats_; }
+  // Sums every slot's counters into one snapshot. The counters only grow,
+  // but a snapshot taken while regions run may be mid-region (begins ahead
+  // of commits plus aborts).
+  Stats& stats();
   MemoryBus* bus() { return bus_; }
   const CostModel* cost() const { return cost_; }
 
@@ -118,7 +135,6 @@ class HtmEngine {
 
  private:
   friend class HtmTxn;
-  void RecordAbort(HtmTxn::AbortCode code);
 
   MemoryBus* bus_;
   const CostModel* cost_;

@@ -1,6 +1,7 @@
 #include "src/sim/memory_bus.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 
 #include "src/chk/protocol_analyzer.h"
@@ -49,10 +50,11 @@ MemoryBus::MemoryBus(size_t size, const CostModel* cost, uint32_t slots, uint32_
       mem_(new std::byte[size]),
       cost_(cost),
       stripes_(new Stripe[kStripes]) {
+  DRTMR_CHECK(slots <= kMaxSlots) << slots << " HTM slots";
   std::memset(mem_.get(), 0, size);
   descs_.reserve(slots);
   for (uint32_t i = 0; i < slots; ++i) {
-    descs_.push_back(std::make_unique<HtmDesc>(htm_read_cap, htm_write_cap));
+    descs_.push_back(std::make_unique<HtmDesc>(i, htm_read_cap, htm_write_cap));
   }
 }
 
@@ -65,10 +67,19 @@ void MemoryBus::ChargeLines(ThreadContext* ctx, uint64_t nlines) {
   }
 }
 
-void MemoryBus::DoomConflicting(HtmDesc* self, uint64_t line, bool is_write) {
-  for (auto& d : descs_) {
-    HtmDesc* other = d.get();
-    if (other == self || other->state.load(std::memory_order_acquire) != HtmDesc::kActive) {
+void MemoryBus::DoomConflicting(Stripe& s, const HtmDesc* self, uint64_t line, bool is_write) {
+  uint64_t flagged = s.holders;
+  if (self != nullptr) {
+    flagged &= ~(uint64_t{1} << self->slot);
+  }
+  for (; flagged != 0; flagged &= flagged - 1) {
+    const uint32_t slot = static_cast<uint32_t>(std::countr_zero(flagged));
+    HtmDesc* other = descs_[slot].get();
+    if (other->state.load(std::memory_order_acquire) != HtmDesc::kActive) {
+      // A stale bit: the region that set it is over. Any later region of
+      // this slot adds a line here only under this stripe lock, setting the
+      // bit again, so clearing it cannot hide a live holder.
+      s.holders &= ~(uint64_t{1} << slot);
       continue;
     }
     if (other->writes.Contains(line) || (is_write && other->reads.Contains(line))) {
@@ -85,10 +96,10 @@ void MemoryBus::Read(ThreadContext* ctx, uint64_t offset, void* dst, size_t len)
   for (uint64_t line = first; line < end; ++line) {
     const uint64_t lo = std::max<uint64_t>(offset, line * kCacheLineSize);
     const uint64_t hi = std::min<uint64_t>(offset + len, (line + 1) * kCacheLineSize);
-    Spinlock& s = StripeFor(line);
+    Stripe& s = StripeFor(line);
     s.lock();
     std::memcpy(out + (lo - offset), mem_.get() + lo, hi - lo);
-    DoomConflicting(nullptr, line, /*is_write=*/false);
+    DoomConflicting(s, nullptr, line, /*is_write=*/false);
     if (chk::AnalyzerEnabled()) {
       chk::ProtocolAnalyzer::Global().CheckStrongAtomicity(this, line, /*is_write=*/false,
                                                            nullptr);
@@ -114,10 +125,10 @@ void MemoryBus::Write(ThreadContext* ctx, uint64_t offset, const void* src, size
   for (uint64_t line = end; line-- > first;) {
     const uint64_t lo = std::max<uint64_t>(offset, line * kCacheLineSize);
     const uint64_t hi = std::min<uint64_t>(offset + len, (line + 1) * kCacheLineSize);
-    Spinlock& s = StripeFor(line);
+    Stripe& s = StripeFor(line);
     s.lock();
     std::memcpy(mem_.get() + lo, in + (lo - offset), hi - lo);
-    DoomConflicting(nullptr, line, /*is_write=*/true);
+    DoomConflicting(s, nullptr, line, /*is_write=*/true);
     if (chk::AnalyzerEnabled()) {
       chk::ProtocolAnalyzer::Global().CheckStrongAtomicity(this, line, /*is_write=*/true,
                                                            nullptr);
@@ -141,7 +152,7 @@ bool MemoryBus::CasU64(ThreadContext* ctx, uint64_t offset, uint64_t expected, u
                        uint64_t* observed) {
   DRTMR_CHECK(offset % 8 == 0 && offset + 8 <= size_) << offset;
   const uint64_t line = LineOf(offset);
-  Spinlock& s = StripeFor(line);
+  Stripe& s = StripeFor(line);
   s.lock();
   uint64_t cur;
   std::memcpy(&cur, mem_.get() + offset, sizeof(cur));
@@ -150,16 +161,17 @@ bool MemoryBus::CasU64(ThreadContext* ctx, uint64_t offset, uint64_t expected, u
     std::memcpy(mem_.get() + offset, &desired, sizeof(desired));
   }
   // A successful CAS is a write for conflict purposes; a failed one is a read.
-  DoomConflicting(nullptr, line, /*is_write=*/swapped);
+  DoomConflicting(s, nullptr, line, /*is_write=*/swapped);
   if (chk::AnalyzerEnabled()) {
     chk::ProtocolAnalyzer::Global().CheckStrongAtomicity(this, line, swapped, nullptr);
+    // Under the stripe, so the shadow applies CASes on one word in the order
+    // they hit memory: a release applied after the next owner's acquire
+    // would leave the shadow unlocked under a held lock.
+    chk::ProtocolAnalyzer::Global().OnCas(this, ctx, offset, expected, desired, cur, swapped);
   }
   s.unlock();
   if (observed != nullptr) {
     *observed = cur;
-  }
-  if (chk::AnalyzerEnabled()) {
-    chk::ProtocolAnalyzer::Global().OnCas(this, ctx, offset, expected, desired, cur, swapped);
   }
   ChargeLines(ctx, 1);
   return swapped;
@@ -168,13 +180,13 @@ bool MemoryBus::CasU64(ThreadContext* ctx, uint64_t offset, uint64_t expected, u
 uint64_t MemoryBus::FetchAddU64(ThreadContext* ctx, uint64_t offset, uint64_t delta) {
   DRTMR_CHECK(offset % 8 == 0 && offset + 8 <= size_) << offset;
   const uint64_t line = LineOf(offset);
-  Spinlock& s = StripeFor(line);
+  Stripe& s = StripeFor(line);
   s.lock();
   uint64_t cur;
   std::memcpy(&cur, mem_.get() + offset, sizeof(cur));
   const uint64_t next = cur + delta;
   std::memcpy(mem_.get() + offset, &next, sizeof(next));
-  DoomConflicting(nullptr, line, /*is_write=*/true);
+  DoomConflicting(s, nullptr, line, /*is_write=*/true);
   if (chk::AnalyzerEnabled()) {
     chk::ProtocolAnalyzer::Global().CheckStrongAtomicity(this, line, /*is_write=*/true, nullptr);
   }
@@ -191,7 +203,7 @@ bool MemoryBus::TxRead(ThreadContext* ctx, HtmDesc* self, uint64_t offset, void*
   for (uint64_t line = first; line < end; ++line) {
     const uint64_t lo = std::max<uint64_t>(offset, line * kCacheLineSize);
     const uint64_t hi = std::min<uint64_t>(offset + len, (line + 1) * kCacheLineSize);
-    Spinlock& s = StripeFor(line);
+    Stripe& s = StripeFor(line);
     s.lock();
     if (self->state.load(std::memory_order_acquire) != HtmDesc::kActive) {
       s.unlock();
@@ -201,12 +213,13 @@ bool MemoryBus::TxRead(ThreadContext* ctx, HtmDesc* self, uint64_t offset, void*
     // A transactional read conflicts with other transactions' speculative
     // writes; requester wins (the writer is doomed), matching RTM's
     // coherence-driven eager conflict resolution.
-    DoomConflicting(self, line, /*is_write=*/false);
+    DoomConflicting(s, self, line, /*is_write=*/false);
     if (!self->reads.Add(line)) {
       self->Doom(HtmDesc::kCapacity);
       s.unlock();
       return false;
     }
+    AddHolder(s, self);
     s.unlock();
   }
   ChargeLines(ctx, end - first);
@@ -218,26 +231,26 @@ bool MemoryBus::TxRegisterWrite(ThreadContext* ctx, HtmDesc* self, uint64_t offs
   const uint64_t first = LineOf(offset);
   const uint64_t end = LineEnd(offset, len);
   for (uint64_t line = first; line < end; ++line) {
-    Spinlock& s = StripeFor(line);
+    Stripe& s = StripeFor(line);
     s.lock();
     if (self->state.load(std::memory_order_acquire) != HtmDesc::kActive) {
       s.unlock();
       return false;
     }
-    DoomConflicting(self, line, /*is_write=*/true);
+    DoomConflicting(s, self, line, /*is_write=*/true);
     if (!self->writes.Add(line)) {
       self->Doom(HtmDesc::kCapacity);
       s.unlock();
       return false;
     }
+    AddHolder(s, self);
     s.unlock();
   }
   ChargeLines(ctx, end - first);
   return true;
 }
 
-bool MemoryBus::TxCommitApply(ThreadContext* ctx, HtmDesc* self,
-                              const std::vector<RedoEntry>& redo) {
+bool MemoryBus::TxCommitApply(ThreadContext* ctx, HtmDesc* self, const RedoLog& redo) {
   // Collect the distinct stripes covering every redo byte, kept sorted by
   // insertion (a region writes a handful of lines), lock them all in
   // ascending order (two concurrent commits therefore cannot deadlock),
@@ -247,9 +260,9 @@ bool MemoryBus::TxCommitApply(ThreadContext* ctx, HtmDesc* self,
   uint32_t stripe_ids[kStripes];
   uint32_t n_stripes = 0;
   uint64_t nlines = 0;
-  for (const auto& e : redo) {
+  for (const RedoLog::Entry& e : redo.entries()) {
     const uint64_t first = LineOf(e.offset);
-    const uint64_t end = LineEnd(e.offset, e.data.size());
+    const uint64_t end = LineEnd(e.offset, e.len);
     nlines += end - first;
     for (uint64_t line = first; line < end; ++line) {
       const uint32_t sid = static_cast<uint32_t>(line & (kStripes - 1));
@@ -270,9 +283,9 @@ bool MemoryBus::TxCommitApply(ThreadContext* ctx, HtmDesc* self,
   }
   const bool alive = self->state.load(std::memory_order_acquire) == HtmDesc::kActive;
   if (alive) {
-    for (const auto& e : redo) {
-      DRTMR_CHECK(e.offset + e.data.size() <= size_);
-      std::memcpy(mem_.get() + e.offset, e.data.data(), e.data.size());
+    for (const RedoLog::Entry& e : redo.entries()) {
+      DRTMR_CHECK(e.offset + e.len <= size_);
+      std::memcpy(mem_.get() + e.offset, redo.data(e), e.len);
     }
     // Mark the descriptor free *before* releasing the stripes so a late
     // conflicting access cannot doom an already-committed transaction.

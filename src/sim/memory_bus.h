@@ -33,9 +33,11 @@
 namespace drtmr::sim {
 
 // Set of cache-line indices owned by one HTM transaction. Single writer (the
-// transaction's thread), concurrent readers (conflict scans from other
-// threads). A 64-bit hash summary gives O(1) negative membership tests, the
-// common case; real RTM uses a similar imprecise filter for its read set.
+// transaction's thread), concurrent readers (the exact membership check of a
+// conflicting access, reached only through the bus's conflict directory, and
+// the analyzer's independent walk). A 64-bit hash summary gives O(1) negative
+// membership tests, the common case; real RTM uses a similar imprecise filter
+// for its read set.
 class LineSet {
  public:
   explicit LineSet(uint32_t capacity);
@@ -65,8 +67,10 @@ struct HtmDesc {
   // Doom reasons, mirrored by HtmTxn::AbortCode.
   enum DoomCode : uint32_t { kNone = 0, kConflict = 1, kCapacity = 2, kExplicit = 3, kIo = 4 };
 
-  HtmDesc(uint32_t read_cap, uint32_t write_cap) : reads(read_cap), writes(write_cap) {}
+  HtmDesc(uint32_t slot_index, uint32_t read_cap, uint32_t write_cap)
+      : slot(slot_index), reads(read_cap), writes(write_cap) {}
 
+  const uint32_t slot;  // index on its bus: its bit in a stripe's holder mask
   std::atomic<uint32_t> state{kFree};
   std::atomic<uint32_t> doom_code{kNone};
   LineSet reads;
@@ -82,20 +86,47 @@ struct HtmDesc {
   }
 };
 
-// A buffered transactional write awaiting commit.
-struct RedoEntry {
-  uint64_t offset;
-  std::vector<std::byte> data;
+// One region's buffered transactional writes awaiting commit: every write's
+// bytes go, in order, into one buffer, and each write keeps a span of it. Each
+// HtmTxn reuses one log across its regions, and the log keeps its capacity,
+// so a warm region buffers its writes without allocating.
+class RedoLog {
+ public:
+  struct Entry {
+    uint64_t offset;  // bus address of the first byte
+    uint32_t pos;     // first byte in the buffer
+    uint32_t len;
+  };
+
+  void Append(uint64_t offset, const void* src, size_t len) {
+    const auto* in = static_cast<const std::byte*>(src);
+    entries_.push_back({offset, static_cast<uint32_t>(bytes_.size()), static_cast<uint32_t>(len)});
+    bytes_.insert(bytes_.end(), in, in + len);
+  }
+  void Clear() {
+    entries_.clear();
+    bytes_.clear();
+  }
+
+  const std::vector<Entry>& entries() const { return entries_; }
+  const std::byte* data(const Entry& e) const { return bytes_.data() + e.pos; }
+
+ private:
+  std::vector<Entry> entries_;
+  std::vector<std::byte> bytes_;
 };
 
 class MemoryBus {
  public:
   // `size` bytes of registered memory; `slots` HTM descriptor slots (one per
-  // thread that may run HTM transactions on this machine).
+  // thread that may run HTM transactions on this machine), at most kMaxSlots.
   MemoryBus(size_t size, const CostModel* cost, uint32_t slots, uint32_t htm_read_cap,
             uint32_t htm_write_cap);
   // Drops this bus's analyzer shadow (a later bus may reuse the address).
   ~MemoryBus();
+
+  // One bit per slot in a stripe's holder mask.
+  static constexpr uint32_t kMaxSlots = 64;
 
   size_t size() const { return size_; }
   std::byte* raw() { return mem_.get(); }
@@ -130,21 +161,39 @@ class MemoryBus {
   // Atomically applies the redo log if self is still active. All affected
   // stripes are held for the duration, making the commit atomic with respect
   // to any per-line access, exactly like an RTM commit.
-  bool TxCommitApply(ThreadContext* ctx, HtmDesc* self, const std::vector<RedoEntry>& redo);
+  bool TxCommitApply(ThreadContext* ctx, HtmDesc* self, const RedoLog& redo);
 
  private:
   static constexpr uint32_t kStripes = 1024;
-  // One host cache line per stripe lock (64 KiB per bus): packed one-byte
-  // locks would put 64 stripes on a line and make unrelated records
-  // false-share it.
-  struct alignas(kCacheLineSize) Stripe : Spinlock {};
+  // One host cache line per stripe (64 KiB per bus): packed one-byte locks
+  // would put 64 stripes on a line and make unrelated records false-share it.
+  //
+  // The line also holds the stripe's slice of the conflict directory: bit i
+  // of `holders` is set once slot i's region has added a line of this stripe
+  // to its read or write set. Real RTM tracks each core's sets in that core's
+  // L1 and learns of a conflict by a coherence message to that core; the mask
+  // is the message's address list, so an access examines only the flagged
+  // descriptors instead of every one. `holders` is read and written only
+  // under the stripe lock. Invariant: every kActive descriptor's bit is set
+  // on the stripe of every line in its sets. Extra bits are allowed: a region
+  // end clears nothing, and an access that walks the mask clears the bit of a
+  // flagged descriptor it finds no longer active.
+  struct alignas(kCacheLineSize) Stripe : Spinlock {
+    uint64_t holders = 0;
+  };
 
-  Spinlock& StripeFor(uint64_t line) { return stripes_[line & (kStripes - 1)]; }
+  Stripe& StripeFor(uint64_t line) { return stripes_[line & (kStripes - 1)]; }
+
+  // Sets self's holder bit on `s` after self added a line of it to a set.
+  // Caller holds `s`.
+  static void AddHolder(Stripe& s, const HtmDesc* self) { s.holders |= uint64_t{1} << self->slot; }
 
   // Dooms every *other* active transaction in conflict with an access to
-  // `line`: writers always conflict; readers conflict only with a write.
-  // Caller must hold the stripe for `line`.
-  void DoomConflicting(HtmDesc* self, uint64_t line, bool is_write);
+  // `line`: writers always conflict; readers conflict only with a write. Only
+  // the descriptors flagged in the stripe's holder mask can hold the line;
+  // each flagged active one gets the exact set check. Caller must hold `s`,
+  // the stripe for `line`.
+  void DoomConflicting(Stripe& s, const HtmDesc* self, uint64_t line, bool is_write);
 
   void ChargeLines(ThreadContext* ctx, uint64_t nlines);
 

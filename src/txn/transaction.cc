@@ -251,10 +251,10 @@ void Transaction::UserAbort() {
 
 // ---------------- commit protocol ----------------
 
-void Transaction::BuildImage(const WriteEntry& w, uint64_t seq, std::vector<std::byte>* image) const {
+void Transaction::BuildImage(const WriteEntry& w, uint64_t seq) {
   const store::Table* table = w.access.table;
-  image->assign(table->record_bytes(), std::byte{0});
-  RecordLayout::Init(image->data(), w.access.key, w.access.incarnation, seq, w.value.data(),
+  image_.assign(table->record_bytes(), std::byte{0});
+  RecordLayout::Init(image_.data(), w.access.key, w.access.incarnation, seq, w.value.data(),
                      table->value_size());
 }
 
@@ -441,9 +441,8 @@ Status Transaction::Validate(bool local) {
 
 Status Transaction::HtmValidateAndApply() {
   const TxnConfig& cfg = engine_->config();
-  std::vector<std::byte> image;
-  // Pre-size to the largest local record so BuildImage's assign() never
-  // allocates inside the HTM region below — on real RTM a malloc inside
+  // Pre-size image_ to the largest local record so BuildImage's assign()
+  // never allocates inside the HTM region below — on real RTM a malloc inside
   // XBEGIN..XEND is a guaranteed abort (drtmr-htm-region-purity).
   uint64_t max_record_bytes = 0;
   for (const WriteEntry& w : write_set_) {
@@ -451,7 +450,7 @@ Status Transaction::HtmValidateAndApply() {
       max_record_bytes = w.access.table->record_bytes();
     }
   }
-  image.reserve(max_record_bytes);
+  image_.reserve(max_record_bytes);
   for (uint32_t attempt = 0;; ++attempt) {
     if (attempt >= cfg.htm_retry_threshold) {
       return Status::kAborted;  // no forward progress: take the fallback
@@ -537,12 +536,12 @@ Status Transaction::HtmValidateAndApply() {
         }
         commit_seq_[i] = meta[2];
         const uint64_t new_seq = rules_.LocalCommitSeq(meta[2]);
-        BuildImage(w, new_seq, &image);
+        BuildImage(w, new_seq);
         // Write everything after the lock+incarnation words: seq, key,
         // payload, and per-line versions.
         if (htm->Write(w.access.offset + RecordLayout::kSeqOff,
-                       image.data() + RecordLayout::kSeqOff,
-                       image.size() - RecordLayout::kSeqOff) != Status::kOk) {
+                       image_.data() + RecordLayout::kSeqOff,
+                       image_.size() - RecordLayout::kSeqOff) != Status::kOk) {
           htm_failed = true;
           break;
         }
@@ -550,7 +549,7 @@ Status Transaction::HtmValidateAndApply() {
         if (w.access.table->ptr_swap()) {
           ctx_->Charge(engine_->cost()->line_access_ns);
         } else {
-          ctx_->Charge(engine_->cost()->CopyNs(image.size()));
+          ctx_->Charge(engine_->cost()->CopyNs(image_.size()));
         }
       }
     }
@@ -582,14 +581,13 @@ void Transaction::StageReplicationEarly() {
   // committing path, so the prediction only misses for blind writes (whose
   // observed seq may be stale); those are superseded at decision time.
   Replicator* rep = engine_->replicator();
-  std::vector<std::byte> image;
   for (size_t i = 0; i < write_set_.size(); ++i) {
     const WriteEntry& w = write_set_[i];
     const uint64_t predicted = rules_.RemoteCommitSeq(rules_.Committable(w.access.seq));
-    BuildImage(w, predicted, &image);
+    BuildImage(w, predicted);
     const Status s = rep->StageUpdate(ctx_, txn_id_, w.access.node, w.access.table->id(),
-                                      w.access.key, w.access.offset, image.data(),
-                                      image.size());
+                                      w.access.key, w.access.offset, image_.data(),
+                                      image_.size());
     if (s == Status::kOk || s == Status::kUnavailable) {
       // A dead backup is tolerated: the configuration service reconfigures
       // and recovery rebuilds redundancy (vertical Paxos, §5.1).
@@ -603,7 +601,6 @@ void Transaction::StageReplicationEarly() {
 
 Status Transaction::FinishReplication() {
   Replicator* rep = engine_->replicator();
-  std::vector<std::byte> image;
   Status worst = Status::kOk;
   for (size_t i = 0; i < write_set_.size(); ++i) {
     const WriteEntry& w = write_set_[i];
@@ -611,13 +608,13 @@ Status Transaction::FinishReplication() {
     if (staged_seq_[i] == final_seq) {
       continue;  // the early slot already carries the committed image
     }
-    BuildImage(w, final_seq, &image);
+    BuildImage(w, final_seq);
     const Status s =
         staged_seq_[i] == kNotStaged
             ? rep->StageUpdate(ctx_, txn_id_, w.access.node, w.access.table->id(),
-                               w.access.key, w.access.offset, image.data(), image.size())
+                               w.access.key, w.access.offset, image_.data(), image_.size())
             : rep->SupersedeUpdate(ctx_, txn_id_, w.access.node, w.access.table->id(),
-                                   w.access.key, w.access.offset, image.data(), image.size());
+                                   w.access.key, w.access.offset, image_.data(), image_.size());
     if (s == Status::kOk || s == Status::kUnavailable) {
       staged_seq_[i] = final_seq;
       rep_staged_ = true;
@@ -659,7 +656,6 @@ void Transaction::MakeupLocal() {
 Status Transaction::WriteBackRemote() {
   // C.5: push buffered updates to remote primaries with posted one-sided
   // WRITEs; one fence before reporting commit.
-  std::vector<std::byte> image;
   uint64_t completion = 0;
   bool any = false;
   for (size_t i = 0; i < write_set_.size(); ++i) {
@@ -668,15 +664,15 @@ Status Transaction::WriteBackRemote() {
       continue;
     }
     const uint64_t final_seq = rules_.RemoteCommitSeq(commit_seq_[i]);
-    BuildImage(w, final_seq, &image);
+    BuildImage(w, final_seq);
     // Posted write-back, outcome ignored: an epoch install never refuses a
     // member mid-stamp, so a refusal means this issuer was fenced out or the
     // target is dead. Either way the node was removed from the view, and
     // recovery replays the logged image (patching the primary, or re-hosting
     // the dead target's records).
     (void)self_->nic()->Write(ctx_, w.access.node, w.access.offset + RecordLayout::kSeqOff,
-                              image.data() + RecordLayout::kSeqOff,
-                              image.size() - RecordLayout::kSeqOff, &completion);
+                              image_.data() + RecordLayout::kSeqOff,
+                              image_.size() - RecordLayout::kSeqOff, &completion);
     any = true;
   }
   if (any) {
@@ -730,16 +726,15 @@ void Transaction::ApplyLocalWrites() {
   // Every local record is locked, and local readers honor the lock (Fig. 5),
   // so the buffered writes land without HTM. The image's new seq also clears
   // a fused lock bit.
-  std::vector<std::byte> image;
   for (size_t i = 0; i < write_set_.size(); ++i) {
     const WriteEntry& w = write_set_[i];
     if (!IsLocal(w.access.node)) {
       continue;
     }
-    BuildImage(w, rules_.LocalCommitSeq(commit_seq_[i]), &image);
+    BuildImage(w, rules_.LocalCommitSeq(commit_seq_[i]));
     self_->bus()->Write(ctx_, w.access.offset + RecordLayout::kSeqOff,
-                        image.data() + RecordLayout::kSeqOff,
-                        image.size() - RecordLayout::kSeqOff);
+                        image_.data() + RecordLayout::kSeqOff,
+                        image_.size() - RecordLayout::kSeqOff);
   }
 }
 

@@ -159,8 +159,8 @@ class Transaction : public TxnApi {
   // C.5: write back remote records.
   Status WriteBackRemote();
 
-  // Builds the full record image for write_set_[i] carrying `seq`.
-  void BuildImage(const WriteEntry& w, uint64_t seq, std::vector<std::byte>* image) const;
+  // Builds into image_ the full record image for `w` carrying `seq`.
+  void BuildImage(const WriteEntry& w, uint64_t seq);
 
   // Appends this committed transaction's read/write versions to the global
   // chk::HistoryRecorder (no-op unless recording is enabled).
@@ -209,7 +209,10 @@ class Transaction : public TxnApi {
   // ScanLocal's key list and payload buffer, kept across calls.
   std::vector<uint64_t> scan_keys_;
   std::vector<std::byte> scan_value_;
-  // Commit-time scratch: the records to lock; the first locked_ are held.
+  // Commit-time scratch, kept across transactions: the record image a write
+  // step is building (BuildImage), and the records to lock, of which the
+  // first locked_ are held.
+  std::vector<std::byte> image_;
   std::vector<LockTarget> targets_;
   size_t locked_ = 0;
   // Current seq observed at commit time for each write entry (index-aligned

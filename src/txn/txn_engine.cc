@@ -78,8 +78,9 @@ constexpr uint32_t kLocalReadRetries = 16;
 constexpr uint32_t kSeqlockReadSpins = 256;
 // Max consistency retries for a remote versioned read.
 constexpr uint32_t kRemoteReadRetries = 64;
-// The execution-phase reads copy a record into stack buffers of this size
-// (64 cache lines); every table in the repo is far smaller.
+// The execution-phase reads copy a record, and an ordered-store insert builds
+// one, in stack buffers of this size (64 cache lines); every table in the
+// repo is far smaller.
 constexpr size_t kMaxReadBytes = 4096;
 
 // Records an accepted read of `rec` (table[key] at `off` on `node`) in
@@ -314,15 +315,16 @@ Status TxnEngine::ApplyMutation(sim::ThreadContext* ctx, MutationEntry::Op op, u
     if (off == cluster::RegionAllocator::kInvalidOffset) {
       return Status::kCapacity;
     }
-    std::vector<std::byte> image(rec_bytes);
-    RecordLayout::Init(image.data(), key, 2, 2, value, table->value_size());
-    node->bus()->Write(ctx, off, image.data(), rec_bytes);
+    DRTMR_CHECK(rec_bytes <= kMaxReadBytes) << "record of " << rec_bytes << " B";
+    alignas(8) std::byte image[kMaxReadBytes];
+    RecordLayout::Init(image, key, 2, 2, value, table->value_size());
+    node->bus()->Write(ctx, off, image, rec_bytes);
     const Status s = table->btree(ctx->node_id)->Insert(ctx, key, off);
     if (s != Status::kOk) {
       node->allocator()->Free(off, rec_bytes);
     } else if (chk::AnalyzerEnabled()) {
       chk::ProtocolAnalyzer::Global().RegisterRecord(node->bus(), off, table->value_size(),
-                                                     image.data());
+                                                     image);
     }
     return s;
   }

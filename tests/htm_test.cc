@@ -236,6 +236,57 @@ TEST_F(HtmTest, InvariantNeverTornAcrossLines) {
   EXPECT_EQ(bus_.ReadU64(&ctx, addr_b), 3000u);
 }
 
+// Each slot counts its own regions; stats() sums them. After every region
+// has ended, each one is a begin and exactly one commit or abort, and the
+// totals cover every slot.
+TEST_F(HtmTest, StatsSumEverySlot) {
+  constexpr uint32_t kThreads = 4;
+  constexpr int kRounds = 200;
+  std::vector<std::thread> threads;
+  for (uint32_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([this, t] {
+      ThreadContext ctx(0, t, t + 1);
+      const uint64_t base = (t + 1) * 64 * kCacheLineSize;  // lines no other slot touches
+      uint64_t v;
+      for (int i = 0; i < kRounds; ++i) {
+        HtmTxn* txn = engine_.Begin(&ctx);  // commit
+        ASSERT_EQ(txn->WriteU64(base, i), Status::kOk);
+        ASSERT_EQ(txn->Commit(), Status::kOk);
+
+        txn = engine_.Begin(&ctx);  // explicit
+        txn->Abort();
+
+        txn = engine_.Begin(&ctx);  // conflict: a plain write to a line it read
+        ASSERT_EQ(txn->ReadU64(base, &v), Status::kOk);
+        bus_.WriteU64(&ctx, base, v);
+        EXPECT_EQ(txn->ReadU64(base, &v), Status::kAborted);
+
+        txn = engine_.Begin(&ctx);  // capacity: one line past the 32-line write cap
+        Status s = Status::kOk;
+        for (uint64_t line = 0; line <= 32 && s == Status::kOk; ++line) {
+          s = txn->WriteU64(base + line * kCacheLineSize, line);
+        }
+        EXPECT_EQ(s, Status::kAborted);
+
+        txn = engine_.Begin(&ctx);  // I/O
+        txn->Abort(HtmTxn::AbortCode::kIo);
+      }
+    });
+  }
+  for (auto& th : threads) {
+    th.join();
+  }
+  const HtmEngine::Stats& stats = engine_.stats();
+  const uint64_t per_kind = uint64_t{kThreads} * kRounds;
+  EXPECT_EQ(stats.begins.load(), 5 * per_kind);
+  EXPECT_EQ(stats.begins.load(), stats.commits.load() + stats.TotalAborts());
+  EXPECT_EQ(stats.commits.load(), per_kind);
+  EXPECT_EQ(stats.aborts_explicit.load(), per_kind);
+  EXPECT_EQ(stats.aborts_conflict.load(), per_kind);
+  EXPECT_EQ(stats.aborts_capacity.load(), per_kind);
+  EXPECT_EQ(stats.aborts_io.load(), per_kind);
+}
+
 TEST_F(HtmTest, ChargesVirtualTime) {
   ThreadContext ctx(0, 0, 1);
   HtmTxn* txn = engine_.Begin(&ctx);

@@ -174,13 +174,9 @@ TEST_F(MemoryBusTest, CommitAppliesRedoAtomically) {
   HtmDesc* txn = bus_.desc(0);
   txn->state.store(HtmDesc::kActive);
   ASSERT_TRUE(bus_.TxRegisterWrite(&t0, txn, 640, 8));
-  std::vector<RedoEntry> redo;
-  uint64_t val = 77;
-  RedoEntry e;
-  e.offset = 640;
-  e.data.resize(8);
-  std::memcpy(e.data.data(), &val, 8);
-  redo.push_back(std::move(e));
+  RedoLog redo;
+  const uint64_t val = 77;
+  redo.Append(640, &val, sizeof(val));
   EXPECT_TRUE(bus_.TxCommitApply(&t0, txn, redo));
   EXPECT_EQ(bus_.ReadU64(&t0, 640), 77u);
   EXPECT_EQ(txn->state.load(), HtmDesc::kFree);
@@ -197,12 +193,15 @@ TEST_F(MemoryBusTest, CommitLocksSharedStripeOnce) {
   constexpr uint64_t kLine = 12;
   const uint64_t a = kLine * kCacheLineSize;
   const uint64_t b = (kLine + 1024) * kCacheLineSize + 32;  // spans two lines
-  std::vector<RedoEntry> redo;
-  redo.push_back({a, std::vector<std::byte>(8, std::byte{0x11})});
-  redo.push_back({b, std::vector<std::byte>(64, std::byte{0x22})});
-  redo.push_back({a + 16, std::vector<std::byte>(8, std::byte{0x33})});
-  for (const RedoEntry& e : redo) {
-    ASSERT_TRUE(bus_.TxRegisterWrite(&t0, txn, e.offset, e.data.size()));
+  const std::vector<std::byte> x11(8, std::byte{0x11});
+  const std::vector<std::byte> x22(64, std::byte{0x22});
+  const std::vector<std::byte> x33(8, std::byte{0x33});
+  RedoLog redo;
+  redo.Append(a, x11.data(), x11.size());
+  redo.Append(b, x22.data(), x22.size());
+  redo.Append(a + 16, x33.data(), x33.size());
+  for (const RedoLog::Entry& e : redo.entries()) {
+    ASSERT_TRUE(bus_.TxRegisterWrite(&t0, txn, e.offset, e.len));
   }
   std::promise<void> done;
   std::thread watchdog([finished = done.get_future()] {
@@ -218,10 +217,11 @@ TEST_F(MemoryBusTest, CommitLocksSharedStripeOnce) {
   EXPECT_TRUE(committed);
   EXPECT_EQ(t0.clock.now_ns() - before, 4 * cost_.line_access_ns);  // 1 + 2 + 1 lines
   EXPECT_EQ(txn->state.load(), HtmDesc::kFree);
-  for (const RedoEntry& e : redo) {
-    std::vector<std::byte> got(e.data.size());
+  for (const RedoLog::Entry& e : redo.entries()) {
+    std::vector<std::byte> got(e.len);
     bus_.Read(&t0, e.offset, got.data(), got.size());
-    EXPECT_EQ(got, e.data) << "offset " << e.offset;
+    EXPECT_EQ(got, std::vector<std::byte>(redo.data(e), redo.data(e) + e.len))
+        << "offset " << e.offset;
   }
   // Every stripe was released: plain accesses to both lines still proceed.
   bus_.WriteU64(&t0, a + 8, 5);
@@ -237,15 +237,99 @@ TEST_F(MemoryBusTest, CommitFailsIfDoomed) {
   txn->state.store(HtmDesc::kActive);
   ASSERT_TRUE(bus_.TxRegisterWrite(&t0, txn, 704, 8));
   bus_.WriteU64(&t1, 704, 999);  // dooms the writer
-  std::vector<RedoEntry> redo;
-  RedoEntry e;
-  e.offset = 704;
-  e.data.resize(8, std::byte{0x42});
-  redo.push_back(std::move(e));
+  RedoLog redo;
+  const std::vector<std::byte> x42(8, std::byte{0x42});
+  redo.Append(704, x42.data(), x42.size());
   EXPECT_FALSE(bus_.TxCommitApply(&t0, txn, redo));
   EXPECT_EQ(bus_.ReadU64(&t0, 704), 999u);  // speculative write discarded
   txn->state.store(HtmDesc::kFree);
   txn->writes.Clear();
+}
+
+// --- Conflict directory (per-stripe holder masks) ---
+
+// A region end leaves its slot's bit on every stripe it touched. The slot's
+// next region, holding another line of the same stripe, must not be doomed
+// through that stale bit by an access to a line only the old region held,
+// and must still be doomed by an access to a line it holds itself.
+TEST_F(MemoryBusTest, StaleHolderBitNeverDooms) {
+  ThreadContext t0 = MakeCtx(0);
+  ThreadContext t1 = MakeCtx(1);
+  HtmDesc* txn = bus_.desc(0);
+  constexpr uint64_t kLine = 20;
+  const uint64_t old_line = kLine * kCacheLineSize;
+  const uint64_t new_line = (kLine + 1024) * kCacheLineSize;  // the same stripe
+  uint64_t v;
+  txn->state.store(HtmDesc::kActive);
+  ASSERT_TRUE(bus_.TxRead(&t0, txn, old_line, &v, sizeof(v)));
+  txn->state.store(HtmDesc::kFree);  // region end, as HtmTxn::End does it
+  txn->reads.Clear();
+
+  txn->state.store(HtmDesc::kActive);
+  ASSERT_TRUE(bus_.TxRead(&t0, txn, new_line, &v, sizeof(v)));
+  bus_.WriteU64(&t1, old_line, 1);
+  EXPECT_EQ(txn->state.load(), HtmDesc::kActive) << "doomed over the ended region's line";
+  bus_.WriteU64(&t1, new_line, 1);
+  EXPECT_EQ(txn->state.load(), HtmDesc::kDoomed);
+  EXPECT_EQ(txn->doom_code.load(), HtmDesc::kConflict);
+  txn->state.store(HtmDesc::kFree);
+  txn->reads.Clear();
+}
+
+// An access that finds a stale bit clears it. The slot's next region sets it
+// again when it adds a line of that stripe, so the clear hides no holder.
+TEST_F(MemoryBusTest, ClearedHolderBitIsSetAgain) {
+  ThreadContext t0 = MakeCtx(0);
+  ThreadContext t1 = MakeCtx(1);
+  HtmDesc* writer = bus_.desc(3);
+  constexpr uint64_t kLine = 40;
+  const uint64_t old_line = kLine * kCacheLineSize;
+  const uint64_t new_line = (kLine + 2048) * kCacheLineSize;  // the same stripe
+  writer->state.store(HtmDesc::kActive);
+  ASSERT_TRUE(bus_.TxRegisterWrite(&t0, writer, old_line, 8));
+  writer->state.store(HtmDesc::kFree);
+  writer->writes.Clear();
+  bus_.ReadU64(&t1, old_line);  // finds slot 3 free: clears its bit
+
+  writer->state.store(HtmDesc::kActive);
+  ASSERT_TRUE(bus_.TxRegisterWrite(&t0, writer, new_line, 8));
+  bus_.ReadU64(&t1, new_line);  // a plain read of a speculative write
+  EXPECT_EQ(writer->state.load(), HtmDesc::kDoomed);
+  writer->state.store(HtmDesc::kFree);
+  writer->writes.Clear();
+}
+
+// The holder mask has one bit per slot; the last of 64 slots is reached by a
+// plain write and by a CAS, the bus operation an RDMA CAS verb lands as.
+TEST(MemoryBusDirectory, LastOfSixtyFourSlotsIsDoomed) {
+  CostModel cost;
+  MemoryBus bus(1 << 16, &cost, MemoryBus::kMaxSlots, 64, 16);
+  ThreadContext t63(0, 63, 64);
+  ThreadContext t0(0, 0, 1);
+  HtmDesc* txn = bus.desc(63);
+  ASSERT_EQ(txn->slot, 63u);
+  uint64_t v;
+
+  txn->state.store(HtmDesc::kActive);
+  ASSERT_TRUE(bus.TxRead(&t63, txn, 256, &v, sizeof(v)));
+  bus.WriteU64(&t0, 256, 1);
+  EXPECT_EQ(txn->state.load(), HtmDesc::kDoomed) << "plain write";
+  txn->state.store(HtmDesc::kFree);
+  txn->reads.Clear();
+
+  txn->state.store(HtmDesc::kActive);
+  ASSERT_TRUE(bus.TxRead(&t63, txn, 512, &v, sizeof(v)));
+  uint64_t observed = 0;
+  ASSERT_TRUE(bus.CasU64(&t0, 512, 0, 7, &observed));
+  EXPECT_EQ(txn->state.load(), HtmDesc::kDoomed) << "CAS";
+  EXPECT_EQ(txn->doom_code.load(), HtmDesc::kConflict);
+  txn->state.store(HtmDesc::kFree);
+  txn->reads.Clear();
+}
+
+TEST(MemoryBusDirectory, MoreSlotsThanMaskBitsDies) {
+  CostModel cost;
+  EXPECT_DEATH(MemoryBus(4096, &cost, MemoryBus::kMaxSlots + 1, 64, 16), "HTM slots");
 }
 
 TEST(LineSet, AddContainsClear) {
@@ -319,6 +403,62 @@ TEST(MemoryBusStress, MultiLineWriteLandsFirstLineLast) {
   stop.store(true);
   writer.join();
   EXPECT_EQ(ahead, 0u) << "line 0 of a write was seen before its line 1";
+}
+
+// Eight slots run regions that read two counters while a plain writer bumps
+// them in order (first, then second), so the pair in memory is always equal
+// or first-ahead-by-one. A region that commits must have seen one such pair:
+// the writer's bump of a line already read dooms the region. Run once with
+// the counters on one stripe (lines L and L + 1024) and once on two.
+TEST(MemoryBusStress, RegionsNeverCommitATornPair) {
+  constexpr uint32_t kSlots = 8;
+  constexpr int kRegions = 3000;
+  for (const uint64_t second_line : {uint64_t{1024 + 5}, uint64_t{6}}) {
+    CostModel cost;
+    MemoryBus bus(1 << 20, &cost, kSlots, 64, 16);
+    const uint64_t first = 5 * kCacheLineSize;
+    const uint64_t second = second_line * kCacheLineSize;
+    std::atomic<bool> stop{false};
+    std::atomic<uint64_t> committed{0};
+    std::atomic<uint64_t> torn{0};
+    std::thread writer([&] {
+      for (uint64_t k = 1; !stop.load(std::memory_order_relaxed); ++k) {
+        bus.WriteU64(nullptr, first, k);
+        bus.WriteU64(nullptr, second, k);
+      }
+    });
+    std::vector<std::thread> readers;
+    for (uint32_t slot = 0; slot < kSlots; ++slot) {
+      readers.emplace_back([&, slot] {
+        ThreadContext ctx(0, slot, slot + 1);
+        HtmDesc* d = bus.desc(slot);
+        const RedoLog no_writes;
+        for (int i = 0; i < kRegions; ++i) {
+          uint64_t a = 0;
+          uint64_t b = 0;
+          d->state.store(HtmDesc::kActive, std::memory_order_release);
+          const bool ok = bus.TxRead(&ctx, d, first, &a, sizeof(a)) &&
+                          bus.TxRead(&ctx, d, second, &b, sizeof(b)) &&
+                          bus.TxCommitApply(&ctx, d, no_writes);
+          if (ok) {
+            committed.fetch_add(1, std::memory_order_relaxed);
+            if (a != b && a != b + 1) {
+              torn.fetch_add(1, std::memory_order_relaxed);
+            }
+          }
+          d->state.store(HtmDesc::kFree, std::memory_order_release);
+          d->reads.Clear();
+        }
+      });
+    }
+    for (auto& th : readers) {
+      th.join();
+    }
+    stop.store(true);
+    writer.join();
+    EXPECT_EQ(torn.load(), 0u) << "second line " << second_line;
+    EXPECT_GT(committed.load(), 0u) << "second line " << second_line;
+  }
 }
 
 }  // namespace

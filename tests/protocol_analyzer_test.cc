@@ -10,6 +10,7 @@
 #include <cctype>
 #include <cstring>
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include "src/chk/torture.h"
@@ -95,6 +96,41 @@ TEST_F(ProtocolAnalyzerTest, LockedWriteIsSanctioned) {
                image.size() - RecordLayout::kSeqOff);
   // ...and a consistent unlock closes the window without complaint.
   ASSERT_TRUE(Bus()->CasU64(Ctx(1), off_ + RecordLayout::kLockOff, word, 0, &obs));
+  EXPECT_EQ(A().total_violations(), 0u);
+}
+
+// Four workers hand one record's lock around, each writing the record while
+// it holds the lock. The shadow must apply the lock CASes in the order they
+// hit memory: a release shadowed after the next owner's acquire would leave
+// the record unlocked in the shadow, and that owner's write flagged.
+TEST_F(ProtocolAnalyzerTest, ContendedLockHandoffStaysSanctioned) {
+  constexpr uint32_t kWorkers = 4;
+  constexpr int kRounds = 2000;
+  const uint64_t lock_off = off_ + RecordLayout::kLockOff;
+  std::vector<std::thread> workers;
+  for (uint32_t w = 0; w < kWorkers; ++w) {
+    workers.emplace_back([this, w, lock_off] {
+      sim::ThreadContext* ctx = Ctx(w);
+      const uint64_t word = LockWord::Make(0, w);
+      std::vector<std::byte> image(store_->record_bytes());
+      uint64_t obs = 0;
+      for (int i = 0; i < kRounds; ++i) {
+        while (!Bus()->CasU64(ctx, lock_off, 0, word, &obs)) {
+          std::this_thread::yield();
+        }
+        Bus()->Read(nullptr, off_, image.data(), image.size());
+        const uint64_t seq = RecordLayout::GetSeq(image.data()) + 2;
+        RecordLayout::SetSeq(image.data(), seq);
+        RecordLayout::SetVersions(image.data(), kValueSize, seq);
+        Bus()->Write(ctx, off_ + RecordLayout::kSeqOff, image.data() + RecordLayout::kSeqOff,
+                     image.size() - RecordLayout::kSeqOff);
+        ASSERT_TRUE(Bus()->CasU64(ctx, lock_off, word, 0, &obs));
+      }
+    });
+  }
+  for (auto& t : workers) {
+    t.join();
+  }
   EXPECT_EQ(A().total_violations(), 0u);
 }
 
