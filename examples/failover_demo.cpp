@@ -24,9 +24,9 @@
 #include "src/cluster/partition_map.h"
 #include "src/rep/primary_backup.h"
 #include "src/rep/recovery.h"
+#include "src/sim/time_gate.h"
 #include "src/txn/transaction.h"
 #include "src/txn/txn_engine.h"
-#include "src/util/time_gate.h"
 
 using namespace drtmr;
 
@@ -143,6 +143,7 @@ int main() {
   // ---- Act 2: kill the host of the re-hosted records; tell no one. ----
   std::printf("\n-- act 2: automatic failover (no scripted Remove/recovery) --\n");
   cluster::MembershipConfig mcfg;  // 25us leases, 5us heartbeats (virtual)
+  sim::TimeGate gate(/*window_ns=*/8'000);
   cluster::MembershipService membership(&cluster, &coordinator, &pmap, mcfg);
   membership.set_recovery_fn([&](uint32_t dead, uint32_t host) {
     const rep::RecoveryReport r = rm.RecoverAfterFailure(
@@ -150,10 +151,8 @@ int main() {
     std::printf("  auto-recovery: %llu records re-hosted on machine %u\n",
                 (unsigned long long)r.records_rehosted, host);
   });
-  TimeGate gate(/*window_ns=*/8'000);
-  membership.set_time_gate(&gate);
   engine.set_membership(&membership);
-  membership.Start();
+  membership.Start(gate);
   std::this_thread::sleep_for(std::chrono::milliseconds(50));  // leases active
 
   cluster.Kill(2);  // the machine the profiles migrated to in act 1

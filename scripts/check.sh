@@ -8,6 +8,7 @@
 # Usage: scripts/check.sh [fast|full|tsan] [--no-tsan] [--no-asan] [--no-ubsan]
 #        scripts/check.sh profile [workload]
 #        scripts/check.sh kills [N]
+#        scripts/check.sh sweeps [N]
 #
 #   fast (default) — build + `ctest -L tier1 -LE slow`: the inner-loop cycle,
 #                    a couple of minutes.
@@ -32,6 +33,9 @@
 #                    and hung invocations stay in build/kills/; export
 #                    DRTMR_TORTURE_DEBUG=1 to capture the harness's stage
 #                    monitor in them.
+#   sweeps         — the same count for the oracle-mode fault sweep:
+#                    `torture_test --gtest_filter='Plans/TortureSweep.*'`,
+#                    logs in build/sweeps/.
 #
 # A failing randomized test prints its DRTMR_TEST_SEED; reproduce with
 #   DRTMR_TEST_SEED=<seed> ctest --test-dir build -R <test> --output-on-failure
@@ -44,18 +48,18 @@ RUN_TSAN=1
 RUN_ASAN=1
 RUN_UBSAN=1
 WORKLOAD=tpcc_mix
-KILLS=1000
+COUNT=1000
 for arg in "$@"; do
   case "$arg" in
-    fast|full|tsan|profile|kills) CYCLE="$arg" ;;
-    [0-9]*) KILLS="$arg" ;;
+    fast|full|tsan|profile|kills|sweeps) CYCLE="$arg" ;;
+    [0-9]*) COUNT="$arg" ;;
     smallbank_local|smallbank_rep_dist|tpcc_mix) WORKLOAD="$arg" ;;
     --no-tsan) RUN_TSAN=0 ;;
     --no-asan) RUN_ASAN=0 ;;
     --no-ubsan) RUN_UBSAN=0 ;;
     *) echo "usage: scripts/check.sh [fast|full|tsan] [--no-tsan] [--no-asan] [--no-ubsan]" >&2
        echo "       scripts/check.sh profile [smallbank_local|smallbank_rep_dist|tpcc_mix]" >&2
-       echo "       scripts/check.sh kills [N]" >&2
+       echo "       scripts/check.sh kills|sweeps [N]" >&2
        exit 2 ;;
   esac
 done
@@ -73,48 +77,61 @@ if [[ "$CYCLE" == profile ]]; then
   exit 0
 fi
 
-if [[ "$CYCLE" == kills ]]; then
+# Runs `torture_test --gtest_filter=$2` COUNT times in JOBS parallel loops,
+# each invocation under `timeout 60`, and prints failures, hangs and the
+# method line a flake count must state. Logs of failing and hung invocations
+# stay in build/$1/.
+count_flakes() {
+  local name=$1 filter=$2
   cmake -B build -S . > /dev/null
   cmake --build build -j "$JOBS" --target torture_test
-  LOGS=build/kills
-  rm -rf "$LOGS"
-  mkdir -p "$LOGS"
-  PINNED=no
+  local logs=build/$name
+  rm -rf "$logs"
+  mkdir -p "$logs"
+  local pinned=no
   if [[ "$(nproc)" -lt "$(nproc --all)" ]]; then
-    PINNED="yes ($(nproc) of $(nproc --all) cpus)"
+    pinned="yes ($(nproc) of $(nproc --all) cpus)"
   fi
-  echo "== kills: NoOracle/*kill* x$KILLS in $JOBS parallel loops =="
+  echo "== $name: $filter x$COUNT in $JOBS parallel loops =="
   for ((loop = 0; loop < JOBS; ++loop)); do
     (
-      for ((i = loop; i < KILLS; i += JOBS)); do
+      for ((i = loop; i < COUNT; i += JOBS)); do
         rc=0
-        timeout 60 ./build/tests/torture_test --gtest_filter='NoOracle/*kill*' \
-          > "$LOGS/$i.log" 2>&1 || rc=$?
-        echo "$i $rc" >> "$LOGS/rc.$loop"
+        timeout 60 ./build/tests/torture_test --gtest_filter="$filter" \
+          > "$logs/$i.log" 2>&1 || rc=$?
+        echo "$i $rc" >> "$logs/rc.$loop"
         if [[ "$rc" == 0 ]]; then
-          rm -f "$LOGS/$i.log"
+          rm -f "$logs/$i.log"
         fi
       done
     ) &
   done
   wait
-  FAILED=0
-  HUNG=0
+  local failed=0 hung=0
   while read -r i rc; do
     if [[ "$rc" == 124 ]]; then
-      HUNG=$((HUNG + 1))
-      echo "hang: invocation $i ($LOGS/$i.log)"
+      hung=$((hung + 1))
+      echo "hang: invocation $i ($logs/$i.log)"
     else
-      FAILED=$((FAILED + 1))
-      echo "failure: invocation $i (exit $rc, $LOGS/$i.log)"
-      grep -hE '^\[  FAILED  \]|Failure|lost update|failed to settle' "$LOGS/$i.log" | head -n 5
+      failed=$((failed + 1))
+      echo "failure: invocation $i (exit $rc, $logs/$i.log)"
+      grep -hE '^\[  FAILED  \]|Failure|lost update|failed to settle' "$logs/$i.log" | head -n 5
     fi
-  done < <(cat "$LOGS"/rc.* | awk '$2 != 0')
-  echo "kills: $FAILED failures, $HUNG hangs in $KILLS invocations"
-  echo "method: $JOBS parallel loops, $KILLS invocations of 'NoOracle/*kill*'," \
-    "timeout 60 s each, pinned: $PINNED," \
+  done < <(cat "$logs"/rc.* | awk '$2 != 0')
+  echo "$name: $failed failures, $hung hangs in $COUNT invocations"
+  echo "method: $JOBS parallel loops, $COUNT invocations of '$filter'," \
+    "timeout 60 s each, pinned: $pinned," \
     "build type $(sed -n 's/^CMAKE_BUILD_TYPE:STRING=//p' build/CMakeCache.txt)"
-  [[ "$FAILED" == 0 && "$HUNG" == 0 ]]
+  [[ "$failed" == 0 && "$hung" == 0 ]]
+}
+
+if [[ "$CYCLE" == kills ]]; then
+  count_flakes kills 'NoOracle/*kill*'
+  exit
+fi
+
+if [[ "$CYCLE" == sweeps ]]; then
+  count_flakes sweeps 'Plans/TortureSweep.*'
   exit
 fi
 

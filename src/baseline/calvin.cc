@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 
+#include "src/sim/time_gate.h"
 #include "src/store/record.h"
 #include "src/util/logging.h"
 
@@ -22,7 +23,7 @@ CalvinTxn::CalvinTxn(CalvinEngine* engine, sim::ThreadContext* ctx)
     : engine_(engine), ctx_(ctx) {}
 
 void CalvinTxn::Begin(bool read_only) {
-  engine_->base()->cluster()->SyncGate(&ctx_->clock);
+  sim::TimeGate::Sync(&ctx_->clock);
   held_.clear();
   remote_nodes_.clear();
   write_set_.clear();

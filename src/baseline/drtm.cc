@@ -5,6 +5,7 @@
 #include <cstring>
 #include <thread>
 
+#include "src/sim/time_gate.h"
 #include "src/store/record.h"
 #include "src/util/logging.h"
 
@@ -269,7 +270,7 @@ bool DrTmEngine::Execute(sim::ThreadContext* ctx, const std::function<bool(txn::
   };
 
   for (uint32_t attempt = 0; attempt < kMaxAttempts; ++attempt) {
-    cluster->SyncGate(&ctx->clock);
+    sim::TimeGate::Sync(&ctx->clock);
     // Pass 1: reconnaissance (models chopping's a-priori knowledge; free).
     RecordingTxn rec(this, ctx);
     if (!body(&rec)) {

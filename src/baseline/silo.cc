@@ -4,6 +4,7 @@
 #include <cstring>
 #include <thread>
 
+#include "src/sim/time_gate.h"
 #include "src/store/record.h"
 #include "src/util/logging.h"
 
@@ -19,7 +20,7 @@ SiloTxn::SiloTxn(SiloEngine* engine, sim::ThreadContext* ctx)
       lock_word_(LockWord::Make(ctx->node_id, ctx->worker_id)) {}
 
 void SiloTxn::Begin(bool read_only) {
-  engine_->base()->cluster()->SyncGate(&ctx_->clock);
+  sim::TimeGate::Sync(&ctx_->clock);
   read_only_ = read_only;
   read_set_.clear();
   write_set_.clear();

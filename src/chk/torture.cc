@@ -7,6 +7,7 @@
 #include <cstdlib>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -21,6 +22,7 @@
 #include "src/rep/primary_backup.h"
 #include "src/rep/recovery.h"
 #include "src/sim/htm.h"
+#include "src/sim/time_gate.h"
 #include "src/store/hash_store.h"
 #include "src/store/record.h"
 #include "src/store/table.h"
@@ -29,7 +31,6 @@
 #include "src/util/backoff.h"
 #include "src/util/logging.h"
 #include "src/util/rand.h"
-#include "src/util/time_gate.h"
 
 namespace drtmr::chk {
 namespace {
@@ -47,9 +48,9 @@ constexpr int64_t kInitialBalance = 1000;
 // relative to one transfer's virtual cost (a few microseconds).
 constexpr uint64_t kKillMarginNs = 40'000;
 
-// Window of the no-oracle layer's TimeGate. It must stay below the commit
-// guard so a straggler's commit-entry clock cannot sit far enough behind the
-// driver's to outrun an expired lease.
+// Window of the TimeGate every torture actor runs in. It must stay below the
+// commit guard so a straggler's commit-entry clock cannot sit far enough
+// behind the driver's to outrun an expired lease.
 constexpr uint64_t kGateWindowNs = 8'000;
 static_assert(kGateWindowNs < cluster::kCommitGuardNs,
               "a straggler could commit past its expired lease");
@@ -284,22 +285,17 @@ TortureResult RunTorture(const TortureOptions& opt) {
     }
   }
 
+  // Every actor below (membership, workers, auditors) is spawned under one
+  // hold, so none runs ahead of a clock that is not registered yet.
+  sim::TimeGate gate(kGateWindowNs);
+  std::optional<sim::TimeGate::Hold> hold(std::in_place, &gate);
+
   // --- no-oracle failover layer ---
-  TimeGate gate(kGateWindowNs);
-  std::vector<uint32_t> worker_gate(nodes * shape.workers, 0);
-  std::vector<uint32_t> auditor_gate(nodes, 0);
   std::unique_ptr<rep::RecoveryManager> auto_rm;
   std::unique_ptr<cluster::MembershipService> membership;
   std::atomic<uint64_t> auto_rehosted{0};
   if (opt.no_oracle) {
     DRTMR_CHECK(replication);  // recovery needs backups: replicas >= 2
-    for (uint32_t n = 0; n < nodes; ++n) {
-      for (uint32_t w = 0; w < shape.workers; ++w) {
-        worker_gate[n * shape.workers + w] =
-            gate.AddClock(&cluster.node(n)->context(w)->clock);
-      }
-      auditor_gate[n] = gate.AddClock(&cluster.node(n)->context(shape.workers)->clock);
-    }
     auto_rm = std::make_unique<rep::RecoveryManager>(&engine, replicator.get(), &coordinator);
     membership =
         std::make_unique<cluster::MembershipService>(&cluster, &coordinator, &pmap, mcfg);
@@ -308,10 +304,8 @@ TortureResult RunTorture(const TortureOptions& opt) {
           cluster.node(host)->tool_context(), dead, host, /*pmap=*/nullptr);
       auto_rehosted.fetch_add(rep.records_rehosted);
     });
-    membership->set_time_gate(&gate);
     engine.set_membership(membership.get());
-    cluster.set_time_gate(&gate);
-    membership->Start();
+    membership->Start(gate);
   }
 
   // --- live-migration layer (DESIGN.md §14) ---
@@ -355,11 +349,11 @@ TortureResult RunTorture(const TortureOptions& opt) {
           return false;
         }
         sum += c.value;
-        // A full snapshot spans tens of microseconds of virtual time; under
-        // the no-oracle gate, sync mid-snapshot so the auditor's clock cannot
-        // outrun its own lease renewals (no-op without a gate; blocking
-        // mid-transaction is safe — versions are re-validated at commit).
-        cluster.SyncGate(&ctx->clock);
+        // A full snapshot spans tens of microseconds of virtual time; sync
+        // mid-snapshot so the auditor's clock cannot outrun its own lease
+        // renewals (a no-op off an actor thread; blocking mid-transaction is
+        // safe — versions are re-validated at commit).
+        sim::TimeGate::Sync(&ctx->clock);
       }
     }
     if (ro.Commit() != Status::kOk) {
@@ -429,12 +423,12 @@ TortureResult RunTorture(const TortureOptions& opt) {
   // on purpose (they verify coverage of the recovered partition, not
   // contention behaviour).
   const ZipfPicker zipf(shape.keys_per_node, shape.zipf_theta);
-  std::vector<std::thread> workers;
+  std::vector<sim::TimeGate::Actor> workers;
   for (uint32_t n = 0; n < nodes; ++n) {
     const uint64_t kill_ns = plan.KillTimeOf(n);
     for (uint32_t w = 0; w < shape.workers; ++w) {
-      workers.emplace_back([&, n, w, kill_ns] {
-        sim::ThreadContext* ctx = cluster.node(n)->context(w);
+      sim::ThreadContext* ctx = cluster.node(n)->context(w);
+      workers.push_back(gate.Spawn(ctx, [&, n, w, kill_ns, ctx] {
         txn::Transaction txn(&engine, ctx);
         FastRand rng(opt.seed * 131 + n * 31 + w + 5);
         // Jittered escalation for routing rejections (kStaleEpoch/kMigrating):
@@ -515,10 +509,7 @@ TortureResult RunTorture(const TortureOptions& opt) {
         }
         committed.fetch_add(done);
         running.fetch_sub(1);
-        if (membership != nullptr) {
-          gate.Done(worker_gate[n * shape.workers + w]);
-        }
-      });
+      }));
     }
   }
   // Live-migration control thread: once the workers have built up virtual
@@ -576,11 +567,11 @@ TortureResult RunTorture(const TortureOptions& opt) {
   }
   // Read-only auditors on each node's extra worker slot: any committed
   // snapshot must observe the conserved total.
-  std::vector<std::thread> auditors;
+  std::vector<sim::TimeGate::Actor> auditors;
   for (uint32_t n = 0; n < nodes; ++n) {
     const uint64_t kill_ns = plan.KillTimeOf(n);
-    auditors.emplace_back([&, n, kill_ns] {
-      sim::ThreadContext* ctx = cluster.node(n)->context(shape.workers);
+    sim::ThreadContext* ctx = cluster.node(n)->context(shape.workers);
+    auditors.push_back(gate.Spawn(ctx, [&, kill_ns, ctx] {
       txn::Transaction ro(&engine, ctx);
       while (running.load(std::memory_order_relaxed) > 0) {
         if (kill_ns != ~0ull && ctx->clock.now_ns() + kKillMarginNs >= kill_ns) {
@@ -590,17 +581,11 @@ TortureResult RunTorture(const TortureOptions& opt) {
           std::this_thread::yield();
         }
       }
-      if (membership != nullptr) {
-        gate.Done(auditor_gate[n]);
-      }
-    });
+    }));
   }
-  for (auto& t : workers) {
-    t.join();
-  }
-  for (auto& t : auditors) {
-    t.join();
-  }
+  hold.reset();
+  workers.clear();  // joins
+  auditors.clear();
   if (migration_thread.joinable()) {
     migration_thread.join();
   }
@@ -676,8 +661,13 @@ TortureResult RunTorture(const TortureOptions& opt) {
       } else {
         // Prove the pipeline end to end: with the membership layer still
         // running (leases must stay fresh for commit admission), brand-new
-        // transactions against the auto-re-hosted partition must commit.
-        post_committed = prove_rehosted(pmap.node_of(victim));
+        // transactions against the auto-re-hosted partition must commit. The
+        // burst is an actor of the running gate, so it keeps pace with the
+        // heartbeats.
+        const uint32_t host = pmap.node_of(victim);
+        gate.Spawn(cluster.node(host)->context(0), [&] {
+          post_committed = prove_rehosted(host);
+        });  // the discarded handle joins the burst right here
         if (post_committed == 0) {
           flag("no transaction committed against the auto-re-hosted partition");
         }
@@ -686,7 +676,6 @@ TortureResult RunTorture(const TortureOptions& opt) {
     if (debug) std::fprintf(stderr, "[torture] burst done post=%llu, stopping membership\n",
                             (unsigned long long)post_committed);
     membership->Stop();
-    cluster.set_time_gate(nullptr);
     if (debug) std::fprintf(stderr, "[torture] membership stopped\n");
   }
 

@@ -54,15 +54,6 @@ MembershipService::MembershipService(Cluster* cluster, Coordinator* coordinator,
 
 MembershipService::~MembershipService() { Stop(); }
 
-void MembershipService::set_time_gate(TimeGate* gate) {
-  gate_ = gate;
-  gate_ids_.clear();
-  for (auto& ctx : hb_ctx_) {
-    gate_ids_.push_back(gate_->AddClock(&ctx->clock));
-  }
-  gate_ids_.push_back(gate_->AddClock(&driver_ctx_->clock));
-}
-
 uint64_t MembershipService::NodeEpoch(uint32_t node) {
   return cluster_->fabric()->bus(node)->ReadU64(nullptr, sim::Fabric::kEpochWordOff);
 }
@@ -139,69 +130,35 @@ void MembershipService::Arm() {
   (void)InstallEpoch(v.epoch);
 }
 
-void MembershipService::Start() {
-  DRTMR_CHECK(!running_);
+void MembershipService::Start(sim::TimeGate& gate) {
+  DRTMR_CHECK(actors_.empty());
   Arm();
   stop_.store(false, std::memory_order_release);
-  running_ = true;
   // Heartbeats only for current members: a node outside the initial
   // configuration must not self-admit. (Removed members keep their heartbeat
   // running — it is the rejoin path.)
-  // Gate clocks of nodes that get no heartbeat thread would otherwise sit
-  // frozen at zero and block every Sync forever.
-  if (gate_ != nullptr) {
-    for (uint32_t i = 0; i < cluster_->num_nodes(); ++i) {
-      const ClusterView v = coordinator_->view();
-      if (!v.Contains(i)) {
-        gate_->Done(gate_ids_[i]);
-      }
-    }
-  }
+  const sim::TimeGate::Hold hold(&gate);
   for (uint32_t m : last_members_) {
     sim::ThreadContext* ctx = hb_ctx_[m].get();
-    threads_.emplace_back([this, m, ctx] {
+    actors_.push_back(gate.Spawn(ctx, [this, m, ctx] {
       while (!stop_.load(std::memory_order_acquire)) {
         HeartbeatOnce(m, ctx);
-        if (gate_ != nullptr) {
-          gate_->Sync(&ctx->clock);
-        }
+        sim::TimeGate::Sync(&ctx->clock);
       }
-      // Mark our clock done before exiting: peers may still be blocked in
-      // Sync against it (Done is idempotent; Stop() repeats it for safety).
-      if (gate_ != nullptr) {
-        gate_->Done(gate_ids_[m]);
-      }
-    });
+    }));
   }
   sim::ThreadContext* dctx = driver_ctx_.get();
-  threads_.emplace_back([this, dctx] {
+  actors_.push_back(gate.Spawn(dctx, [this, dctx] {
     while (!stop_.load(std::memory_order_acquire)) {
       DriverOnce(dctx);
-      if (gate_ != nullptr) {
-        gate_->Sync(&dctx->clock);
-      }
+      sim::TimeGate::Sync(&dctx->clock);
     }
-    if (gate_ != nullptr) {
-      gate_->Done(gate_ids_.back());
-    }
-  });
+  }));
 }
 
 void MembershipService::Stop() {
-  if (!running_) {
-    return;
-  }
   stop_.store(true, std::memory_order_release);
-  for (auto& t : threads_) {
-    t.join();
-  }
-  threads_.clear();
-  if (gate_ != nullptr) {
-    for (uint32_t id : gate_ids_) {
-      gate_->Done(id);
-    }
-  }
-  running_ = false;
+  actors_.clear();
 }
 
 void MembershipService::TickHeartbeat(uint32_t node) {

@@ -47,13 +47,12 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <thread>
 #include <vector>
 
 #include "src/cluster/coordinator.h"
 #include "src/cluster/node.h"
 #include "src/cluster/partition_map.h"
-#include "src/util/time_gate.h"
+#include "src/sim/time_gate.h"
 
 namespace drtmr::cluster {
 
@@ -87,11 +86,6 @@ class MembershipService {
 
   void set_recovery_fn(RecoveryFn fn) { recovery_fn_ = std::move(fn); }
 
-  // Registers the heartbeat/driver clocks with the gate (call before Start
-  // and before gate-synced workers run; TimeGate registration is not
-  // thread-safe).
-  void set_time_gate(TimeGate* gate);
-
   // Installs `epoch` as one step (DESIGN.md §10): applies `moves` to the
   // partition map, stamps every current member's epoch word, raises the
   // fabric's fence, and drains in-flight commits. Callable from any thread,
@@ -109,9 +103,10 @@ class MembershipService {
   // the initial view — without spawning threads. Deterministic unit tests
   // call this and then drive TickHeartbeat/TickDriver by hand.
   void Arm();
-  // Arm() + spawn the heartbeat and driver threads.
-  void Start();
-  // Stops the threads and marks their gate clocks done.
+  // Arm() + spawn the heartbeat actors of the current members and the driver
+  // actor into `gate`, which must outlive Stop().
+  void Start(sim::TimeGate& gate);
+  // Stops and joins the actors.
   void Stop();
 
   // ---- state queried by the transaction layer ----
@@ -165,7 +160,7 @@ class MembershipService {
   RecoveryFn recovery_fn_;
   std::function<void(uint32_t node)> stamp_hook_;
 
-  // Private contexts: heartbeat thread per node + one driver thread. Workers'
+  // Private contexts: heartbeat actor per node + one driver actor. Workers'
   // slots on the Node are untouched.
   std::vector<std::unique_ptr<sim::ThreadContext>> hb_ctx_;
   std::unique_ptr<sim::ThreadContext> driver_ctx_;
@@ -181,9 +176,6 @@ class MembershipService {
   uint64_t last_epoch_ = 0;
   std::vector<uint32_t> last_members_;
 
-  TimeGate* gate_ = nullptr;
-  std::vector<uint32_t> gate_ids_;  // heartbeat clocks, then driver clock
-
   std::atomic<uint64_t> suspicions_{0};
   std::atomic<uint64_t> epoch_changes_{0};
   std::atomic<uint64_t> rejoins_{0};
@@ -191,8 +183,7 @@ class MembershipService {
 
   std::atomic<bool> stop_{false};
   bool armed_ = false;
-  bool running_ = false;
-  std::vector<std::thread> threads_;
+  std::vector<sim::TimeGate::Actor> actors_;
 };
 
 }  // namespace drtmr::cluster

@@ -16,7 +16,6 @@
 #include "src/sim/fabric.h"
 #include "src/sim/htm.h"
 #include "src/sim/memory_bus.h"
-#include "src/util/time_gate.h"
 
 namespace drtmr::cluster {
 
@@ -144,17 +143,6 @@ class Cluster {
   // benchmark runs over the same cluster start from a clean time base.
   void ResetSimTime();
 
-  // Optional conservative time-window gate (set by the benchmark driver);
-  // transaction Begin() paths call Sync() through it. May be null.
-  void set_time_gate(TimeGate* gate) { time_gate_.store(gate, std::memory_order_release); }
-  TimeGate* time_gate() const { return time_gate_.load(std::memory_order_acquire); }
-  void SyncGate(const SimClock* clock) const {
-    TimeGate* g = time_gate();
-    if (g != nullptr) {
-      g->Sync(clock);
-    }
-  }
-
   // Replica placement: primary + (replicas-1) backups at successive nodes.
   uint32_t BackupOf(uint32_t primary, uint32_t replica_index) const {
     return (primary + replica_index) % num_nodes();
@@ -164,7 +152,6 @@ class Cluster {
   ClusterConfig config_;
   // The testbed's cost model (sim/cost_model.h), shared by every node.
   const sim::CostModel cost_{};
-  std::atomic<TimeGate*> time_gate_{nullptr};
   std::unique_ptr<sim::Fabric> fabric_;
   std::vector<std::unique_ptr<Node>> nodes_;
   std::vector<std::unique_ptr<sim::RdmaNic::Occupancy>> machine_nics_;

@@ -7,6 +7,7 @@
 #include "src/chk/history.h"
 #include "src/cluster/membership.h"
 #include "src/obs/phase_timer.h"
+#include "src/sim/time_gate.h"
 #include "src/store/record.h"
 #include "src/util/backoff.h"
 #include "src/util/logging.h"
@@ -51,7 +52,7 @@ Transaction::Transaction(TxnEngine* engine, sim::ThreadContext* ctx)
 
 void Transaction::Begin(bool read_only) {
   DRTMR_CHECK(!active_) << "Begin inside an active transaction";
-  engine_->cluster()->SyncGate(&ctx_->clock);
+  sim::TimeGate::Sync(&ctx_->clock);
   begin_ns_ = ctx_->clock.now_ns();
   if (engine_->fencing()) {
     // Snapshot the configuration epoch stamped in our registered memory; the

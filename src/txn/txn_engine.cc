@@ -145,8 +145,10 @@ Status TxnEngine::ReadLocalRecord(sim::ThreadContext* ctx, store::Table* table, 
     return Status::kOk;
   }
 
-  // Seqlock-style fallback read: two stable snapshots with equal seq and no
-  // lock imply a consistent copy (the HTM path had no forward progress). The
+  // Seqlock-style fallback read: two stable snapshots with equal seq, no
+  // lock and line versions that agree with the seq imply a consistent copy
+  // (the HTM path had no forward progress). Equal reads alone are not enough:
+  // R.2's lock-free makeup writes the line versions before the seq word. The
   // wait is bounded: a lock held past the spin budget is leaked — its owner
   // failed mid-commit or the unlock verb was lost — and waiting for it would
   // hang the reader until a configuration change releases it, so abort the
@@ -166,7 +168,8 @@ Status TxnEngine::ReadLocalRecord(sim::ThreadContext* ctx, store::Table* table, 
     node->bus()->Read(ctx, off, buf2, rec_bytes);
     if (RecordLayout::GetLock(buf2) == 0 &&
         RecordLayout::GetSeq(buf) == RecordLayout::GetSeq(buf2) &&
-        std::memcmp(buf, buf2, rec_bytes) == 0) {
+        std::memcmp(buf, buf2, rec_bytes) == 0 &&
+        RecordLayout::VersionsConsistent(buf, table->value_size())) {
       stable = true;
       break;
     }

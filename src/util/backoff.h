@@ -1,7 +1,7 @@
 // One backoff policy to rule the retry loops. Before this header existed,
 // three near-identical-but-divergent policies lived in the tree: the
 // remote-lock dangling CAS jitter in txn/transaction.cc, the workload-level
-// RetryBackoff, and the local-read HTM retry in txn/txn_engine.cc. Each
+// abort-retry backoff, and the local-read HTM retry in txn/txn_engine.cc. Each
 // computed "random delay, escalating with attempts" slightly differently,
 // which made it impossible to reason about retry storms (e.g. the
 // kMigrating drain window) in one place.
@@ -14,9 +14,8 @@
 //
 // Two shapes cover every policy in the tree:
 //   Exponential(lo, hi, max_shift, cap): Range(lo, hi) << min(attempt,
-//       max_shift), clamped to cap. With cap = kNoCap this reproduces the
-//       historical workload::RetryBackoff byte-for-byte (lo=400, hi=1600,
-//       max_shift=7).
+//       max_shift), clamped to cap. The SmallBank and TPC-C abort retries
+//       use it uncapped (lo=400, hi=1600, max_shift=7).
 //   Linear(lo, hi): Range(lo, hi) * (attempt + 1). Reproduces the historical
 //       local-read HTM retry byte-for-byte (lo=50, hi=400).
 #ifndef DRTMR_SRC_UTIL_BACKOFF_H_

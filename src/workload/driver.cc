@@ -1,11 +1,10 @@
 #include "src/workload/driver.h"
 
 #include <cstdio>
-#include <thread>
 
 #include "src/obs/flight_recorder.h"
+#include "src/sim/time_gate.h"
 #include "src/util/logging.h"
-#include "src/util/time_gate.h"
 
 namespace drtmr::workload {
 
@@ -31,70 +30,58 @@ DriverResult RunWorkload(cluster::Cluster* cluster, const DriverOptions& options
     std::vector<Histogram> latency_by_type;
   };
   std::vector<PerThread> results(nodes * options.threads_per_node);
-  std::vector<std::thread> threads;
-  threads.reserve(results.size());
 
   // Conservative time-window synchronization: the host has fewer physical
   // cores than simulated workers, so bound the virtual-clock skew to keep
-  // retry behaviour faithful (see src/util/time_gate.h).
-  TimeGate gate(/*window_ns=*/100000);
-  std::vector<uint32_t> gate_ids(results.size());
-  for (uint32_t n = 0; n < nodes; ++n) {
-    for (uint32_t w = 0; w < options.threads_per_node; ++w) {
-      gate_ids[n * options.threads_per_node + w] =
-          gate.AddClock(&cluster->node(n)->context(w)->clock);
-    }
-  }
-  cluster->set_time_gate(&gate);
-
-  for (uint32_t n = 0; n < nodes; ++n) {
-    for (uint32_t w = 0; w < options.threads_per_node; ++w) {
-      PerThread& out = results[n * options.threads_per_node + w];
-      const uint32_t gate_id = gate_ids[n * options.threads_per_node + w];
-      out.by_type.assign(options.max_txn_types, 0);
-      out.latency_by_type.assign(options.max_txn_types, Histogram());
-      threads.emplace_back([cluster, &options, &fn, n, w, &out, &gate, gate_id] {
+  // retry behaviour faithful (see src/sim/time_gate.h).
+  sim::TimeGate gate(/*window_ns=*/100000);
+  {
+    std::vector<sim::TimeGate::Actor> workers;
+    workers.reserve(results.size());
+    // Declared after `workers`: the hold lifts before the handles join.
+    const sim::TimeGate::Hold hold(&gate);
+    for (uint32_t n = 0; n < nodes; ++n) {
+      for (uint32_t w = 0; w < options.threads_per_node; ++w) {
+        PerThread& out = results[n * options.threads_per_node + w];
+        out.by_type.assign(options.max_txn_types, 0);
+        out.latency_by_type.assign(options.max_txn_types, Histogram());
         sim::ThreadContext* ctx = cluster->node(n)->context(w);
-        FastRand rng((static_cast<uint64_t>(n) << 20) + w * 7919 + 12345);
-        for (uint64_t i = 0; i < options.warmup_per_thread; ++i) {
-          if (cluster->node(n)->killed()) {
-            gate.Done(gate_id);
-            return;
+        workers.push_back(gate.Spawn(ctx, [cluster, &options, &fn, n, w, &out, ctx] {
+          FastRand rng((static_cast<uint64_t>(n) << 20) + w * 7919 + 12345);
+          for (uint64_t i = 0; i < options.warmup_per_thread; ++i) {
+            if (cluster->node(n)->killed()) {
+              return;
+            }
+            fn(ctx, n, w, &rng);
           }
-          fn(ctx, n, w, &rng);
-        }
-        const uint64_t window_start = ctx->clock.now_ns();
-        for (uint64_t i = 0; i < options.txns_per_thread; ++i) {
-          if (cluster->node(n)->killed()) {
-            break;
+          const uint64_t window_start = ctx->clock.now_ns();
+          for (uint64_t i = 0; i < options.txns_per_thread; ++i) {
+            if (cluster->node(n)->killed()) {
+              break;
+            }
+            const uint64_t t0 = ctx->clock.now_ns();
+            const bool flight = obs::FlightEnabled();
+            if (flight) {
+              obs::FlightRecorder::Global().TxnBegin(n, w);
+            }
+            const uint32_t type = fn(ctx, n, w, &rng);
+            const uint64_t dt = ctx->clock.now_ns() - t0;
+            if (flight) {
+              obs::FlightRecorder::Global().TxnEnd(type, t0, dt);
+            }
+            out.committed++;
+            out.by_type[type]++;
+            out.latency.Record(dt);
+            out.latency_by_type[type].Record(dt);
           }
-          const uint64_t t0 = ctx->clock.now_ns();
-          const bool flight = obs::FlightEnabled();
-          if (flight) {
-            obs::FlightRecorder::Global().TxnBegin(n, w);
+          if (options.worker_done && !cluster->node(n)->killed()) {
+            options.worker_done(ctx);
           }
-          const uint32_t type = fn(ctx, n, w, &rng);
-          const uint64_t dt = ctx->clock.now_ns() - t0;
-          if (flight) {
-            obs::FlightRecorder::Global().TxnEnd(type, t0, dt);
-          }
-          out.committed++;
-          out.by_type[type]++;
-          out.latency.Record(dt);
-          out.latency_by_type[type].Record(dt);
-        }
-        if (options.worker_done && !cluster->node(n)->killed()) {
-          options.worker_done(ctx);
-        }
-        out.window_ns = ctx->clock.now_ns() - window_start;
-        gate.Done(gate_id);
-      });
+          out.window_ns = ctx->clock.now_ns() - window_start;
+        }));
+      }
     }
   }
-  for (auto& t : threads) {
-    t.join();
-  }
-  cluster->set_time_gate(nullptr);
 
   DriverResult agg;
   agg.committed_by_type.assign(options.max_txn_types, 0);

@@ -3,8 +3,8 @@
 #include <thread>
 #include <vector>
 
+#include "src/util/backoff.h"
 #include "src/util/logging.h"
-#include "src/workload/backoff.h"
 
 namespace drtmr::workload {
 
@@ -131,7 +131,8 @@ uint32_t SmallBankWorkload::RunOne(sim::ThreadContext* ctx, txn::TxnApi* txn, Fa
   pick();
   const int64_t v = static_cast<int64_t>(rng->Range(1, 100));
 
-  RetryBackoff backoff;
+  // Charged, escalating retry backoff (DESIGN.md §6).
+  util::Backoff backoff = util::Backoff::Exponential(400, 1600, /*max_shift=*/7);
   // Typed kMigrating/kStaleEpoch rejections get a bounded jittered backoff
   // and a *fresh account pick*: new requests steer away from a shard inside
   // its cutover drain window instead of hammering it (DESIGN.md §14). Never
@@ -276,7 +277,7 @@ uint32_t SmallBankWorkload::RunOne(sim::ThreadContext* ctx, txn::TxnApi* txn, Fa
       pick();
       continue;
     }
-    backoff.OnAbort(ctx, rng);
+    ctx->Charge(backoff.NextDelay(rng));
   }
 }
 

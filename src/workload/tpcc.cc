@@ -4,8 +4,8 @@
 #include <thread>
 #include <unordered_set>
 
+#include "src/util/backoff.h"
 #include "src/util/logging.h"
-#include "src/workload/backoff.h"
 
 namespace drtmr::workload {
 
@@ -200,9 +200,10 @@ bool TpccWorkload::RunType(uint32_t type, sim::ThreadContext* ctx, txn::TxnApi* 
 uint32_t TpccWorkload::RunOne(sim::ThreadContext* ctx, txn::TxnApi* txn, FastRand* rng) {
   const uint64_t w = PickLocalWarehouse(ctx, rng);
   const uint32_t type = PickType(rng);
-  RetryBackoff backoff;
+  // Charged, escalating retry backoff (DESIGN.md §6).
+  util::Backoff backoff = util::Backoff::Exponential(400, 1600, /*max_shift=*/7);
   while (!RunType(type, ctx, txn, rng, w)) {
-    backoff.OnAbort(ctx, rng);
+    ctx->Charge(backoff.NextDelay(rng));
   }
   return type;
 }

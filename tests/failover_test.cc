@@ -14,10 +14,10 @@
 #include "src/rep/primary_backup.h"
 #include "src/rep/recovery.h"
 #include "src/sim/fault.h"
+#include "src/sim/time_gate.h"
 #include "src/store/record.h"
 #include "src/txn/transaction.h"
 #include "src/txn/txn_engine.h"
-#include "src/util/time_gate.h"
 #include "tests/lock_state.h"
 
 namespace drtmr::cluster {
@@ -333,9 +333,8 @@ TEST_F(FailoverTest, FreezeSuspectRecoverRejoinCommitRoundTrip) {
   sim::FaultPlan plan(mcfg.seed);
   plan.Freeze(1, {40'000, 140'000});
   cluster_->SetFaultPlan(&plan);
-  TimeGate gate(/*window_ns=*/8'000);
-  membership_->set_time_gate(&gate);
-  membership_->Start();
+  sim::TimeGate gate(/*window_ns=*/8'000);
+  membership_->Start(gate);
 
   const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(120);
   while (std::chrono::steady_clock::now() < deadline) {

@@ -10,6 +10,9 @@
 #include <vector>
 
 #include "src/chk/history.h"
+#include "src/chk/protocol_analyzer.h"
+#include "src/sim/fault.h"
+#include "src/sim/htm.h"
 #include "src/store/record.h"
 #include "src/txn/txn_engine.h"
 #include "tests/lock_state.h"
@@ -272,6 +275,42 @@ TEST_F(TxnTest, ReadOnlyRefusesLockedRemoteRecord) {
                                                &obs));
   reader.join();
   EXPECT_TRUE(done.load());
+}
+
+// The seqlock fallback of a local read must reject a snapshot whose line
+// versions disagree with its seq, as a remote read does: R.2's lock-free
+// makeup writes the versions before the seq word, so two equal reads with the
+// lock free can still be torn. Every local-read HTM region is forced to abort
+// so the fallback runs, and the record is planted mid-makeup.
+TEST_F(TxnTest, LocalSeqlockFallbackRejectsTornVersions) {
+  sim::FaultPlan plan(1);
+  plan.ForceHtmAbort(obs::HtmSite::kLocalRead,
+                     static_cast<uint32_t>(sim::HtmTxn::AbortCode::kCapacity),
+                     /*ppm=*/1'000'000);
+  cluster_->SetFaultPlan(&plan);
+  const uint64_t key = 3;  // homed on node 0
+  sim::MemoryBus* bus = cluster_->node(0)->bus();
+  const uint64_t off = accounts_->hash(0)->Lookup(nullptr, key);
+  ASSERT_NE(off, 0u);
+  std::vector<std::byte> rec(accounts_->record_bytes());
+  bus->Read(nullptr, off, rec.data(), rec.size());
+  RecordLayout::SetLock(rec.data(), LockWord::kUnlocked);
+  RecordLayout::SetSeq(rec.data(), 127);
+  RecordLayout::SetVersions(rec.data(), sizeof(Account), 128);
+  bus->Write(nullptr, off, rec.data(), rec.size());
+
+  chk::ProtocolAnalyzer& analyzer = chk::ProtocolAnalyzer::Global();
+  analyzer.Reset();
+  analyzer.Enable(true);
+  Transaction txn(engine_.get(), cluster_->node(0)->context(0));
+  txn.Begin();
+  Account a{};
+  EXPECT_NE(txn.Read(accounts_, 0, key, &a), Status::kOk);
+  txn.UserAbort();
+  EXPECT_EQ(analyzer.violations(chk::ViolationClass::kSeqlockDiscipline), 0u);
+  analyzer.Enable(false);
+  analyzer.Reset();
+  cluster_->SetFaultPlan(nullptr);
 }
 
 // Commit-time validation must see the record lock, not just the seq. A

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -12,8 +13,9 @@
 #include "src/sim/fabric.h"
 #include "src/sim/htm.h"
 #include "src/sim/memory_bus.h"
+#include "src/sim/thread_context.h"
+#include "src/sim/time_gate.h"
 #include "src/util/sim_clock.h"
-#include "src/util/time_gate.h"
 
 namespace drtmr {
 namespace {
@@ -59,38 +61,125 @@ TEST(SimResourceBackfill, ResetClears) {
   EXPECT_EQ(r.free_at_ns(), 10u);
 }
 
-TEST(TimeGateTest, BoundsClockSkew) {
-  TimeGate gate(/*window_ns=*/1000);
-  SimClock fast, slow;
-  const uint32_t fast_id = gate.AddClock(&fast);
-  const uint32_t slow_id = gate.AddClock(&slow);
-  (void)fast_id;
+// Yields until `step` reaches `v`: the tests below sequence their actors
+// through one counter the main thread raises.
+void AwaitStep(const std::atomic<int>& step, int v) {
+  while (step.load() < v) {
+    std::this_thread::yield();
+  }
+}
 
-  fast.Advance(5000);
+// Yields until `flag` is set, for at most 10 s of real time.
+bool Eventually(const std::atomic<bool>& flag) {
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!flag.load() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
+  return flag.load();
+}
+
+TEST(TimeGateTest, BoundsClockSkew) {
+  sim::TimeGate gate(/*window_ns=*/1000);
+  sim::ThreadContext fast(0, 0, 1), slow(0, 1, 2);
+  std::atomic<int> step{0};
   std::atomic<bool> passed{false};
-  std::thread t([&] {
-    gate.Sync(&fast);  // must block: fast is 5000 ahead of slow (window 1000)
+  sim::TimeGate::Actor slow_actor = gate.Spawn(&slow, [&] {
+    AwaitStep(step, 1);
+    slow.Charge(4500);  // now skew is 500 <= window
+    AwaitStep(step, 2);
+  });
+  sim::TimeGate::Actor fast_actor = gate.Spawn(&fast, [&] {
+    fast.Charge(5000);
+    sim::TimeGate::Sync(&fast.clock);  // must block: 5000 ahead of slow (window 1000)
     passed.store(true);
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   EXPECT_FALSE(passed.load());
-  slow.Advance(4500);  // now skew is 500 <= window
-  t.join();
-  EXPECT_TRUE(passed.load());
-  gate.Done(slow_id);
-  // With the slow clock retired, the fast one is unconstrained.
-  fast.Advance(1000000);
-  gate.Sync(&fast);
-  SUCCEED();
+  step.store(1);
+  EXPECT_TRUE(Eventually(passed));
+  step.store(2);
 }
 
 TEST(TimeGateTest, SoleClockNeverBlocks) {
-  TimeGate gate(10);
-  SimClock c;
-  gate.AddClock(&c);
-  c.Advance(1 << 30);
-  gate.Sync(&c);
+  sim::TimeGate gate(10);
+  sim::ThreadContext c(0, 0, 1);
+  std::atomic<bool> passed{false};
+  gate.Spawn(&c, [&] {
+    c.Charge(1 << 30);
+    sim::TimeGate::Sync(&c.clock);
+    passed.store(true);
+  });  // the discarded handle joins here
+  EXPECT_TRUE(passed.load());
+}
+
+TEST(TimeGateTest, BlockedActorIsReleasedWhenTheLaggardReturns) {
+  sim::TimeGate gate(/*window_ns=*/1000);
+  sim::ThreadContext fast(0, 0, 1), slow(0, 1, 2);
+  std::atomic<int> step{0};
+  std::atomic<bool> passed{false};
+  sim::TimeGate::Actor slow_actor = gate.Spawn(&slow, [&] { AwaitStep(step, 1); });
+  sim::TimeGate::Actor fast_actor = gate.Spawn(&fast, [&] {
+    fast.Charge(1'000'000);
+    sim::TimeGate::Sync(&fast.clock);
+    passed.store(true);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_FALSE(passed.load());
+  step.store(1);  // the laggard returns without advancing; its clock retires
+  EXPECT_TRUE(Eventually(passed));
+}
+
+TEST(TimeGateTest, ActorSpawnedIntoARunningGateIsWaitedOn) {
+  sim::TimeGate gate(/*window_ns=*/1000);
+  sim::ThreadContext early(0, 0, 1), late(0, 1, 2);
+  std::atomic<int> step{0};
+  std::atomic<bool> passed{false};
+  sim::TimeGate::Actor early_actor = gate.Spawn(&early, [&] {
+    early.Charge(50'000);
+    sim::TimeGate::Sync(&early.clock);  // alone in the gate: passes
+    step.store(1);
+    AwaitStep(step, 2);
+    sim::TimeGate::Sync(&early.clock);  // `late` sits at 0 now
+    passed.store(true);
+  });
+  AwaitStep(step, 1);
+  sim::TimeGate::Actor late_actor = gate.Spawn(&late, [&] {
+    AwaitStep(step, 3);
+    late.Charge(49'500);  // catches up to within the window
+    AwaitStep(step, 4);
+  });
+  step.store(2);
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_FALSE(passed.load());
+  step.store(3);
+  EXPECT_TRUE(Eventually(passed));
+  step.store(4);
+}
+
+TEST(TimeGateTest, SyncOffAnActorThreadReturnsAtOnce) {
+  sim::TimeGate gate(/*window_ns=*/10);
+  sim::ThreadContext lagging(0, 0, 1);
+  std::atomic<int> step{0};
+  sim::TimeGate::Actor actor = gate.Spawn(&lagging, [&] { AwaitStep(step, 1); });
+  SimClock mine;
+  mine.Advance(1 << 30);
+  sim::TimeGate::Sync(&mine);  // this thread has no gate: never blocks
+  step.store(1);
   SUCCEED();
+}
+
+TEST(TimeGateTest, OverflowingMaxActorsDies) {
+  EXPECT_DEATH(
+      {
+        sim::TimeGate gate(/*window_ns=*/10);
+        sim::ThreadContext ctx(0, 0, 1);
+        // Each discarded handle joins at once, so one thread lives at a time;
+        // retired entries still count.
+        for (uint32_t i = 0; i <= sim::TimeGate::kMaxActors; ++i) {
+          gate.Spawn(&ctx, [] {});
+        }
+      },
+      "actors in one TimeGate");
 }
 
 class PostedVerbTest : public ::testing::Test {
