@@ -1,10 +1,9 @@
 #include "bench/suite.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <thread>
+#include <filesystem>
 
 #include "bench/harness.h"
 #include "src/chk/checker.h"
@@ -15,6 +14,7 @@
 #include "src/obs/metrics.h"
 #include "src/rep/migration.h"
 #include "src/rep/recovery.h"
+#include "src/sim/time_gate.h"
 
 namespace drtmr::bench {
 
@@ -182,7 +182,7 @@ bool RunTortureEntry(bool smoke, Results* out) {
 // Elastic reconfiguration (DESIGN.md §14): SmallBank on a 6-machine cluster
 // whose partitions are initially folded onto nodes 0-2 (the 3-node
 // placement). Phase A measures steady-state throughput at that placement;
-// phase B runs the identical load while a control thread live-migrates
+// phase B runs the identical load while a control actor live-migrates
 // partitions 3-5 out to nodes 3-5 (scale-out to 6) and then back (scale-in
 // to 3), both legs planned by MigrationManager::PlanRebalance. The whole run
 // executes under the history recorder and the version-exact serializability
@@ -259,8 +259,7 @@ bool RunElasticEntry(bool smoke, Results* out) {
   const workload::DriverResult base = stack.Run(cfg);
 
   // Phase B: the same load, with the 3->6 scale-out and 6->3 scale-in
-  // landing mid-run. The control thread waits for the load to get underway
-  // so every cutover happens under full commit traffic.
+  // landing mid-run.
   workload::DriverOptions dopt;
   dopt.nodes = 0;  // all machines
   dopt.threads_per_node = cfg.threads;
@@ -270,28 +269,25 @@ bool RunElasticEntry(bool smoke, Results* out) {
   rep::PrimaryBackupReplicator* repl = stack.replicator.get();
   dopt.worker_done = [repl](sim::ThreadContext* ctx) { repl->FlushLog(ctx); };
 
-  std::atomic<uint64_t> executed{0};
-  const uint64_t total_txns = static_cast<uint64_t>(cfg.machines) * cfg.threads *
-                              (cfg.txns_per_thread + cfg.warmup_per_thread);
+  // The control actor launches at a virtual instant an eighth of the way
+  // into phase A's window, so every cutover happens under full load.
   std::vector<rep::MigrationReport> reports;
-  std::thread control([&] {
-    while (executed.load(std::memory_order_relaxed) < total_txns / 8) {
-      std::this_thread::yield();
-    }
-    for (const uint32_t active : {6u, 3u}) {
-      for (const auto& [part, dst] :
-           rep::MigrationManager::PlanRebalance(*stack.pmap, active)) {
-        reports.push_back(migrator.MigratePartition(part, dst));
-      }
-    }
-  });
+  sim::ThreadContext* mctx = migrator.context();
+  dopt.control = {mctx, [&, launch_ns = base.elapsed_ns / 8] {
+                    mctx->clock.AdvanceTo(launch_ns);
+                    sim::TimeGate::Sync(&mctx->clock);
+                    for (const uint32_t active : {6u, 3u}) {
+                      for (const auto& [part, dst] :
+                           rep::MigrationManager::PlanRebalance(*stack.pmap, active)) {
+                        reports.push_back(migrator.MigratePartition(part, dst));
+                      }
+                    }
+                  }};
   const workload::DriverResult elastic = workload::RunWorkload(
       stack.cluster.get(), dopt,
       [&](sim::ThreadContext* ctx, uint32_t n, uint32_t w, FastRand* rng) {
-        executed.fetch_add(1, std::memory_order_relaxed);
         return stack.bank->RunOne(ctx, stack.by_slot[n * cfg.threads + w], rng);
       });
-  control.join();
 
   chk::HistoryRecorder::Global().Enable(false);
   const std::vector<chk::TxnRec> history = chk::HistoryRecorder::Global().Collect();
@@ -381,6 +377,10 @@ std::vector<std::string> SuiteEntryNames() {
 }
 
 std::vector<SuiteEntryResult> RunSuite(const SuiteOptions& opt) {
+  // Made before the first entry runs, not discovered missing after it; a
+  // directory that cannot be made shows up as the entries' failed writes.
+  std::error_code ec;
+  std::filesystem::create_directories(opt.out_dir, ec);
   std::vector<SuiteEntryResult> out;
   for (const std::string& name : SuiteEntryNames()) {
     if (!opt.only.empty() &&
@@ -490,7 +490,7 @@ std::vector<SuiteEntryResult> RunSuite(const SuiteOptions& opt) {
       tolerances.emplace_back("total_tps", 0.15);
     }
     if (name == "elastic") {
-      // Single-rep throughput with a concurrent migration control thread:
+      // Single-rep throughput with a concurrent migration control actor:
       // run-to-run spread is wide, and the entry's real gates are elastic_ok
       // (correctness) and the absolute dip_pct bar. The _tps keys only catch
       // catastrophic collapses; migration_ms tracks the pump's virtual cost.

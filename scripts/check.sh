@@ -9,6 +9,7 @@
 #        scripts/check.sh profile [workload]
 #        scripts/check.sh kills [N]
 #        scripts/check.sh sweeps [N]
+#        scripts/check.sh migrations [N]
 #
 #   fast (default) — build + `ctest -L tier1 -LE slow`: the inner-loop cycle,
 #                    a couple of minutes.
@@ -36,6 +37,10 @@
 #   sweeps         — the same count for the oracle-mode fault sweep:
 #                    `torture_test --gtest_filter='Plans/TortureSweep.*'`,
 #                    logs in build/sweeps/.
+#   migrations     — the same count for the live-migration suites, where the
+#                    pump is a gate actor beside the load:
+#                    `migration_test --gtest_filter='MigrationTest.*:MigrationTortureTest.*'`,
+#                    logs in build/migrations/.
 #
 # A failing randomized test prints its DRTMR_TEST_SEED; reproduce with
 #   DRTMR_TEST_SEED=<seed> ctest --test-dir build -R <test> --output-on-failure
@@ -51,7 +56,7 @@ WORKLOAD=tpcc_mix
 COUNT=1000
 for arg in "$@"; do
   case "$arg" in
-    fast|full|tsan|profile|kills|sweeps) CYCLE="$arg" ;;
+    fast|full|tsan|profile|kills|sweeps|migrations) CYCLE="$arg" ;;
     [0-9]*) COUNT="$arg" ;;
     smallbank_local|smallbank_rep_dist|tpcc_mix) WORKLOAD="$arg" ;;
     --no-tsan) RUN_TSAN=0 ;;
@@ -59,7 +64,7 @@ for arg in "$@"; do
     --no-ubsan) RUN_UBSAN=0 ;;
     *) echo "usage: scripts/check.sh [fast|full|tsan] [--no-tsan] [--no-asan] [--no-ubsan]" >&2
        echo "       scripts/check.sh profile [smallbank_local|smallbank_rep_dist|tpcc_mix]" >&2
-       echo "       scripts/check.sh kills|sweeps [N]" >&2
+       echo "       scripts/check.sh kills|sweeps|migrations [N]" >&2
        exit 2 ;;
   esac
 done
@@ -77,14 +82,14 @@ if [[ "$CYCLE" == profile ]]; then
   exit 0
 fi
 
-# Runs `torture_test --gtest_filter=$2` COUNT times in JOBS parallel loops,
+# Runs test binary `$2 --gtest_filter=$3` COUNT times in JOBS parallel loops,
 # each invocation under `timeout 60`, and prints failures, hangs and the
 # method line a flake count must state. Logs of failing and hung invocations
 # stay in build/$1/.
 count_flakes() {
-  local name=$1 filter=$2
+  local name=$1 binary=$2 filter=$3
   cmake -B build -S . > /dev/null
-  cmake --build build -j "$JOBS" --target torture_test
+  cmake --build build -j "$JOBS" --target "$binary"
   local logs=build/$name
   rm -rf "$logs"
   mkdir -p "$logs"
@@ -92,12 +97,12 @@ count_flakes() {
   if [[ "$(nproc)" -lt "$(nproc --all)" ]]; then
     pinned="yes ($(nproc) of $(nproc --all) cpus)"
   fi
-  echo "== $name: $filter x$COUNT in $JOBS parallel loops =="
+  echo "== $name: $binary '$filter' x$COUNT in $JOBS parallel loops =="
   for ((loop = 0; loop < JOBS; ++loop)); do
     (
       for ((i = loop; i < COUNT; i += JOBS)); do
         rc=0
-        timeout 60 ./build/tests/torture_test --gtest_filter="$filter" \
+        timeout 60 "./build/tests/$binary" --gtest_filter="$filter" \
           > "$logs/$i.log" 2>&1 || rc=$?
         echo "$i $rc" >> "$logs/rc.$loop"
         if [[ "$rc" == 0 ]]; then
@@ -119,19 +124,24 @@ count_flakes() {
     fi
   done < <(cat "$logs"/rc.* | awk '$2 != 0')
   echo "$name: $failed failures, $hung hangs in $COUNT invocations"
-  echo "method: $JOBS parallel loops, $COUNT invocations of '$filter'," \
+  echo "method: $JOBS parallel loops, $COUNT invocations of $binary '$filter'," \
     "timeout 60 s each, pinned: $pinned," \
     "build type $(sed -n 's/^CMAKE_BUILD_TYPE:STRING=//p' build/CMakeCache.txt)"
   [[ "$failed" == 0 && "$hung" == 0 ]]
 }
 
 if [[ "$CYCLE" == kills ]]; then
-  count_flakes kills 'NoOracle/*kill*'
+  count_flakes kills torture_test 'NoOracle/*kill*'
   exit
 fi
 
 if [[ "$CYCLE" == sweeps ]]; then
-  count_flakes sweeps 'Plans/TortureSweep.*'
+  count_flakes sweeps torture_test 'Plans/TortureSweep.*'
+  exit
+fi
+
+if [[ "$CYCLE" == migrations ]]; then
+  count_flakes migrations migration_test 'MigrationTest.*:MigrationTortureTest.*'
   exit
 fi
 
@@ -149,7 +159,8 @@ run_tsan() {
   # strategies; fabric_test and fault_test the verb admission path every
   # thread shares; torture_test and protocol_analyzer_test the
   # analyzer-enabled torture seeds; failover_test, migration_test and
-  # GroupCommitNoOracle the epoch install's threaded stamp and drain;
+  # GroupCommitNoOracle the epoch install's threaded stamp and drain, and
+  # MigrationTorture the migration actor in torture's gate;
   # memory_bus_test and htm_test the bus's per-stripe conflict directory and
   # the per-slot HTM counters that stats() sums while regions run.
   cmake --build build-tsan -j "$JOBS" --target \
@@ -158,7 +169,7 @@ run_tsan() {
     txn_protocol_test fabric_test fault_test failover_test migration_test \
     memory_bus_test htm_test
   ctest --test-dir build-tsan --output-on-failure -j "$JOBS" \
-    -R 'Histogram|ObsRegistry|ObsHarness|SimResourceBackfill|TimeGate|Workload|ProtocolAnalyzer|Node\.|RepBatching|Fallback|FusedLock|FusedInterleave|^TxnTest|LockedReadSet|Fabric|FaultPlan|PostedVerb|FailoverTest|MigrationTest|GroupCommitNoOracle|MemoryBus|LineSet|HtmTest'
+    -R 'Histogram|ObsRegistry|ObsHarness|SimResourceBackfill|TimeGate|Workload|ProtocolAnalyzer|Node\.|RepBatching|Fallback|FusedLock|FusedInterleave|^TxnTest|LockedReadSet|Fabric|FaultPlan|PostedVerb|FailoverTest|MigrationTest|MigrationTorture|GroupCommitNoOracle|MemoryBus|LineSet|HtmTest'
   # Sanitized runs are ~10x slower: keep the sweep to one seed per shape.
   DRTMR_TORTURE_SEEDS=1 ctest --test-dir build-tsan --output-on-failure -j "$JOBS" -L stress
 }

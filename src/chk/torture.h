@@ -88,7 +88,7 @@ struct TortureOptions {
   // oracles then check the result with no scripted help. Requires
   // replicas >= 2 (recovery needs backups).
   bool no_oracle = false;
-  // Live migration (DESIGN.md §14): a control thread moves a seed-derived
+  // Live migration (DESIGN.md §14): a control actor moves a seed-derived
   // partition to a seed-derived destination mid-run via rep::MigrationManager
   // while the workers keep committing, and on odd seeds moves it back.
   // Composes with any plan kind — a kill plan landing mid-flight is the
@@ -111,7 +111,7 @@ struct TortureResult {
   uint64_t rejoins = 0;
   uint64_t recoveries = 0;
   uint64_t violations = 0;   // protocol-analyzer violations (analyze mode)
-  // Migrate mode: what the migration control thread drove.
+  // Migrate mode: what the migration control actor drove.
   uint64_t migrations = 0;
   uint64_t migrations_committed = 0;
   uint64_t migrations_rolled_back = 0;

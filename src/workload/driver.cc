@@ -37,9 +37,12 @@ DriverResult RunWorkload(cluster::Cluster* cluster, const DriverOptions& options
   sim::TimeGate gate(/*window_ns=*/100000);
   {
     std::vector<sim::TimeGate::Actor> workers;
-    workers.reserve(results.size());
+    workers.reserve(results.size() + 1);
     // Declared after `workers`: the hold lifts before the handles join.
     const sim::TimeGate::Hold hold(&gate);
+    if (const auto& [ctx, fn] = options.control; fn) {
+      workers.push_back(gate.Spawn(ctx, fn));
+    }
     for (uint32_t n = 0; n < nodes; ++n) {
       for (uint32_t w = 0; w < options.threads_per_node; ++w) {
         PerThread& out = results[n * options.threads_per_node + w];

@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/cluster/node.h"
@@ -26,6 +27,10 @@ struct DriverOptions {
   // group-commit window so no decided transaction is left unfenced; the time
   // it charges lands inside the measured window.
   std::function<void(sim::ThreadContext*)> worker_done;
+  // Optional control actor (e.g. a live migration): `fn` runs on `ctx`'s
+  // clock in the workers' gate, registered before any worker runs and joined
+  // with them. Unset when `fn` is empty; adds nothing to the result.
+  std::pair<sim::ThreadContext*, std::function<void()>> control;
 };
 
 struct DriverResult {

@@ -4,8 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <memory>
+#include <thread>
 
+#include "src/sim/time_gate.h"
 #include "src/workload/driver.h"
 #include "src/workload/smallbank.h"
 
@@ -226,6 +230,61 @@ TEST_F(WorkloadTest, DriverThroughputScalesWithThreads) {
   const double t1 = run(1).ThroughputTps();
   const double t4 = run(4).ThroughputTps();
   EXPECT_GT(t4, t1 * 2.0) << "t1=" << t1 << " t4=" << t4;
+}
+
+// RunWorkload's control actor shares the workers' gate: it is registered
+// before any worker runs, the workers wait on its clock, it is joined before
+// RunWorkload returns, and it adds nothing to the result. Each "transaction"
+// charges a fixed 1 us and syncs, so the run is deterministic.
+TEST_F(WorkloadTest, ControlActorIsGatedJoinedAndAddsNothing) {
+  constexpr uint64_t kWindowNs = 100'000;  // RunWorkload's gate window
+  constexpr uint64_t kTxnNs = 1'000;
+  constexpr uint32_t kThreads = 2;
+  DriverOptions opt;
+  opt.threads_per_node = kThreads;
+  opt.txns_per_thread = 400;  // 4x the window: the workers must hit the gate
+  opt.warmup_per_thread = 10;
+  const TxnFn fn = [](sim::ThreadContext* ctx, uint32_t, uint32_t, FastRand*) {
+    ctx->Charge(kTxnNs);
+    sim::TimeGate::Sync(&ctx->clock);
+    return 0u;
+  };
+  const DriverResult plain = RunWorkload(cluster_.get(), opt, fn);
+
+  // The control actor holds its clock at 0 until every worker is parked past
+  // the window, records how far the fastest got, then finishes late.
+  sim::ThreadContext control(0, cfg_.workers_per_node, 1);
+  uint64_t fastest_ns = 0;
+  std::atomic<bool> finished{false};
+  opt.control = {&control, [&] {
+                   for (bool parked = false; !parked;) {
+                     parked = true;
+                     fastest_ns = 0;
+                     for (uint32_t n = 0; n < cfg_.num_nodes; ++n) {
+                       for (uint32_t w = 0; w < kThreads; ++w) {
+                         const uint64_t now = cluster_->node(n)->context(w)->clock.now_ns();
+                         parked = parked && now > kWindowNs;
+                         fastest_ns = std::max(fastest_ns, now);
+                       }
+                     }
+                     std::this_thread::yield();
+                   }
+                   for (int i = 0; i < 1000; ++i) {
+                     std::this_thread::yield();
+                   }
+                   finished.store(true);
+                 }};
+  const DriverResult gated = RunWorkload(cluster_.get(), opt, fn);
+
+  EXPECT_LE(fastest_ns, kWindowNs + kTxnNs);  // registered first, waited on
+  EXPECT_TRUE(finished.load());               // joined before the return
+  EXPECT_EQ(control.clock.now_ns(), 0u);
+  EXPECT_EQ(gated.committed, uint64_t{cfg_.num_nodes} * kThreads * opt.txns_per_thread);
+  EXPECT_EQ(gated.committed, plain.committed);
+  EXPECT_EQ(gated.elapsed_ns, plain.elapsed_ns);
+  EXPECT_EQ(gated.elapsed_ns, opt.txns_per_thread * kTxnNs);
+  EXPECT_EQ(gated.committed_by_type, plain.committed_by_type);
+  EXPECT_EQ(gated.latency.count(), plain.latency.count());
 }
 
 }  // namespace
