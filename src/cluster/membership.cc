@@ -64,7 +64,8 @@ bool MembershipService::LeaseAndEpochValid(uint32_t node, uint64_t now_ns,
 }
 
 Status MembershipService::InstallEpoch(uint64_t epoch,
-                                       const std::vector<PartitionMap::Move>& moves) {
+                                       const std::vector<PartitionMap::Move>& moves,
+                                       bool rehosting) {
   // 1. Re-route first: once the partition map points at the new home, new
   //    transactions go there, and any still routed at the old one abort on
   //    the epoch checks the stamp arms (flip-before-stamp closes the
@@ -72,7 +73,7 @@ Status MembershipService::InstallEpoch(uint64_t epoch,
   //    commit). A reconfiguration with a newer epoch that already flipped a
   //    partition wins the monotone CAS and its flip stands.
   DRTMR_CHECK(moves.empty() || pmap_ != nullptr);
-  const bool flips_stood = moves.empty() || pmap_->Apply(moves, epoch);
+  const bool flips_stood = moves.empty() || pmap_->Apply(moves, epoch, rehosting);
 
   // 2. Stamp the epoch into every member's registered memory, then raise
   //    the fabric's fence to it. The stamps doom HTM regions that read the
@@ -274,7 +275,9 @@ void MembershipService::ProcessViewChange(const ClusterView& view, sim::ThreadCo
   //      ring successors, stamp the members and raise the fence, drain.
   //      A lost flip means a newer reconfiguration (a racing migration
   //      cutover) already moved the partition; its placement stands. A
-  //      drain past the wedge budget proceeds to recovery.
+  //      drain past the wedge budget proceeds to recovery. The flips keep
+  //      the partitions unroutable until step 4 has re-hosted their records:
+  //      a successor may already hold stale copies of them (PartitionMap).
   std::vector<PartitionMap::Move> moves;
   if (pmap_ != nullptr && !view.members.empty()) {
     for (uint32_t d : removed) {
@@ -282,7 +285,7 @@ void MembershipService::ProcessViewChange(const ClusterView& view, sim::ThreadCo
       moves.insert(moves.end(), off.begin(), off.end());
     }
   }
-  (void)InstallEpoch(view.epoch, moves);
+  (void)InstallEpoch(view.epoch, moves, /*rehosting=*/true);
 
   // 4. Recover: re-host the removed node's data from backups.
   for (uint32_t d : removed) {
@@ -301,6 +304,9 @@ void MembershipService::ProcessViewChange(const ClusterView& view, sim::ThreadCo
       recoveries_.fetch_add(1, std::memory_order_relaxed);
     }
     pending_recovery_[d].store(false, std::memory_order_release);
+  }
+  if (!moves.empty()) {
+    pmap_->FinishRehost(moves, view.epoch);
   }
 
   // 5. Fresh leases for the survivors: recovery ran in real time while the

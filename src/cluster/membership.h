@@ -31,9 +31,10 @@
 //    Coordinator::Reconfigure as the expiry backstop and processes every
 //    committed view change in order: install the new epoch, re-hosting the
 //    removed node's partitions onto the deterministically chosen survivor
-//    (next view member in ring order), run the injected recovery callback,
-//    then grant all surviving members a fresh lease so real-time recovery
-//    work cannot cascade into further suspicions.
+//    (next view member in ring order) unroutable, run the injected recovery
+//    callback, make the partitions routable, then grant all surviving
+//    members a fresh lease so real-time recovery work cannot cascade into
+//    further suspicions.
 //
 //  * Rejoin. A degraded node's heartbeat keeps ticking; once its reads go
 //    through again (READs are exempt from fencing) and recovery for its old
@@ -87,12 +88,14 @@ class MembershipService {
   void set_recovery_fn(RecoveryFn fn) { recovery_fn_ = std::move(fn); }
 
   // Installs `epoch` as one step (DESIGN.md §10): applies `moves` to the
-  // partition map, stamps every current member's epoch word, raises the
-  // fabric's fence, and drains in-flight commits. Callable from any thread,
-  // concurrently with the driver. Every step runs whatever the outcome;
-  // returns kConflict if a newer reconfiguration already flipped one of the
-  // moved partitions, kTimeout if the drain hit its wedge budget, else kOk.
-  Status InstallEpoch(uint64_t epoch, const std::vector<PartitionMap::Move>& moves = {});
+  // partition map (left unroutable if `rehosting`), stamps every current
+  // member's epoch word, raises the fabric's fence, and drains in-flight
+  // commits. Callable from any thread, concurrently with the driver. Every
+  // step runs whatever the outcome; returns kConflict if a newer
+  // reconfiguration already flipped one of the moved partitions, kTimeout if
+  // the drain hit its wedge budget, else kOk.
+  Status InstallEpoch(uint64_t epoch, const std::vector<PartitionMap::Move>& moves = {},
+                      bool rehosting = false);
 
   // Test instrumentation: runs on the installing thread right after each
   // member's word is stamped, before the fence is raised. Set it while no

@@ -11,8 +11,18 @@
 // carrying an epoch older than the installed one is refused, which resolves
 // concurrent migration-vs-recovery races in whichever order they land.
 //
+// A failover flips a dead node's partitions to their new host before
+// recovery has re-hosted the records there, and the host may already hold
+// copies of them: a migration's source or rolled-back destination, or a
+// node that rejoined after a false suspicion. Until recovery overwrites
+// those with the freshest backup images, a transaction served by one would
+// commit on a stale version. The failover therefore flips with the
+// rehosting bit set, which keeps the partition unroutable (reads included),
+// and clears it once recovery is done.
+//
 // Word layout: bits[31:0] owner node, bit[32] migrating (write-drain window
-// open), bits[63:33] epoch of the flip that installed this owner.
+// open), bit[33] rehosting (recovery still re-hosting onto the owner),
+// bits[63:34] epoch of the flip that installed this owner.
 #ifndef DRTMR_SRC_CLUSTER_PARTITION_MAP_H_
 #define DRTMR_SRC_CLUSTER_PARTITION_MAP_H_
 
@@ -44,6 +54,10 @@ class PartitionMap {
     return MigratingOf(entry_[partition].load(std::memory_order_acquire));
   }
 
+  bool rehosting(uint32_t partition) const {
+    return (entry_[partition].load(std::memory_order_acquire) & kRehostingBit) != 0;
+  }
+
   // Routing read with staleness rejection. `begin_epoch` is the reader's
   // transaction begin epoch (pass ~0ull to accept any entry — legacy
   // non-fenced runs). Returns:
@@ -52,26 +66,30 @@ class PartitionMap {
   //                  reader's begin epoch; the reader must re-begin.
   //   kMigrating   — for_write and the partition is in its write-drain
   //                  window; back off and retry.
+  //   kUnavailable — a failover's recovery is still re-hosting the
+  //                  partition onto its owner; back off and retry.
   Status Route(uint32_t partition, uint64_t begin_epoch, bool for_write,
                uint32_t* owner) const {
     const uint64_t e = entry_[partition].load(std::memory_order_acquire);
     if (EpochOf(e) > begin_epoch) {
       return Status::kStaleEpoch;
     }
-    if (for_write && MigratingOf(e)) {
-      return Status::kMigrating;
+    if ((e & (for_write ? kMigratingBit | kRehostingBit : kRehostingBit)) != 0) {
+      return (e & kRehostingBit) != 0 ? Status::kUnavailable : Status::kMigrating;
     }
     *owner = OwnerOf(e);
     return Status::kOk;
   }
 
-  // Installs (node, epoch) and clears the migrating flag. Monotone: refuses
-  // (returns false) when the installed entry already carries a newer epoch —
-  // the caller lost a race against another reconfiguration and must treat
-  // its flip as not having happened.
-  bool Rehost(uint32_t partition, uint32_t node, uint64_t epoch) {
+  // Installs (node, epoch), clears the migrating flag and sets the
+  // rehosting flag to `rehosting`. Monotone: refuses (returns false) when the
+  // installed entry already carries a newer epoch — the caller lost a race
+  // against another reconfiguration and must treat its flip as not having
+  // happened.
+  bool Rehost(uint32_t partition, uint32_t node, uint64_t epoch, bool rehosting = false) {
     uint64_t cur = entry_[partition].load(std::memory_order_acquire);
-    const uint64_t next = Pack(node, /*migrating=*/false, epoch);
+    const uint64_t next =
+        Pack(node, /*migrating=*/false, epoch) | (rehosting ? kRehostingBit : 0);
     while (true) {
       if (EpochOf(cur) > epoch) {
         return false;
@@ -102,12 +120,22 @@ class PartitionMap {
 
   // Rehosts each move under `epoch`; false if any flip lost to a newer epoch
   // (the other moves still land).
-  bool Apply(const std::vector<Move>& moves, uint64_t epoch) {
+  bool Apply(const std::vector<Move>& moves, uint64_t epoch, bool rehosting = false) {
     bool all = true;
     for (const Move& m : moves) {
-      all = Rehost(m.partition, m.node, epoch) && all;
+      all = Rehost(m.partition, m.node, epoch, rehosting) && all;
     }
     return all;
+  }
+
+  // Makes the moves that Apply(moves, epoch, /*rehosting=*/true) installed
+  // routable. An entry a newer reconfiguration replaced is left as it is.
+  void FinishRehost(const std::vector<Move>& moves, uint64_t epoch) {
+    for (const Move& m : moves) {
+      uint64_t held = Pack(m.node, /*migrating=*/false, epoch) | kRehostingBit;
+      entry_[m.partition].compare_exchange_strong(held, held & ~kRehostingBit,
+                                                  std::memory_order_acq_rel);
+    }
   }
 
   // Opens/closes the write-drain window without changing owner or epoch.
@@ -127,7 +155,8 @@ class PartitionMap {
 
  private:
   static constexpr uint64_t kMigratingBit = 1ull << 32;
-  static constexpr uint32_t kEpochShift = 33;
+  static constexpr uint64_t kRehostingBit = 1ull << 33;
+  static constexpr uint32_t kEpochShift = 34;
 
   static constexpr uint64_t Pack(uint32_t owner, bool migrating, uint64_t epoch) {
     return static_cast<uint64_t>(owner) | (migrating ? kMigratingBit : 0) |
